@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check serve-check trace-check load-check
+.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check sim-check serve-check trace-check load-check
 
-check: vet build race docs-check coverage-quick tile-check mc-check serve-check load-check
+check: vet build race docs-check coverage-quick tile-check mc-check sim-check serve-check load-check
 
 vet:
 	$(GO) vet ./...
@@ -49,6 +49,14 @@ tile-check:
 mc-check:
 	$(GO) test -race ./internal/mc
 	$(GO) run ./cmd/ftcheck -interleave
+
+# sim-check runs the event-queue gate: the internal/sim suite under the
+# race detector (the differential queue tests against an (at, seq)
+# reference, lazy timer cancellation, choice-point removal), then 20
+# seconds of FuzzEngineOrder. See docs/PERFORMANCE.md § Event queue.
+sim-check:
+	$(GO) test -race ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime 20s ./internal/sim
 
 # serve-check builds the ftserve binary and runs the experiment-serving
 # e2e suite under the race detector: concurrent duplicate submissions

@@ -154,6 +154,9 @@ func TestDocsPerformanceMatchesCode(t *testing.T) {
 		"StartCall", "proto.DeferResult", "msg.EncodeAppend",
 		"TestPoolingOffGoldenIdentity", "TestFig3QuickAllocsPin",
 		"TestDisabledInstrumentationZeroAlloc",
+		"TestQueueMatchesReference", "TestQueueChoiceRemovalPositions",
+		"FuzzEngineOrder", "TestStoppedTimerStaysQueued",
+		"BenchmarkEngineQueueMesh", "make sim-check",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("docs/PERFORMANCE.md does not mention %q", want)

@@ -178,7 +178,7 @@ type Network struct {
 
 	// links[router][dir] is the output link of router in direction dir.
 	links [][numDirections]link
-	nodes map[msg.NodeID]node
+	nodes []node // indexed by NodeID; a nil handler marks an unattached ID
 	rng   *sim.RNG
 	bufs  map[detailedBufKey]*vcBuf
 
@@ -238,7 +238,6 @@ func New(engine *sim.Engine, cfg Config, drop DropFunc, rec Recorder) (*Network,
 		drop:   drop,
 		rec:    rec,
 		links:  make([][numDirections]link, cfg.Width*cfg.Height),
-		nodes:  make(map[msg.NodeID]node),
 		rng:    sim.NewRNG(cfg.RoutingSeed ^ 0x5eed),
 		bufs:   make(map[detailedBufKey]*vcBuf),
 	}, nil
@@ -250,29 +249,43 @@ func (n *Network) Attach(id msg.NodeID, router int, h Handler) error {
 	if router < 0 || router >= len(n.links) {
 		return fmt.Errorf("noc: router %d out of range", router)
 	}
-	if _, dup := n.nodes[id]; dup {
+	if id < 0 {
+		return fmt.Errorf("noc: node id %d is negative", id)
+	}
+	if _, dup := n.node(id); dup {
 		return fmt.Errorf("noc: node %d already attached", id)
 	}
 	if h == nil {
 		return fmt.Errorf("noc: nil handler for node %d", id)
 	}
+	if int(id) >= len(n.nodes) {
+		n.nodes = append(n.nodes, make([]node, int(id)+1-len(n.nodes))...)
+	}
 	n.nodes[id] = node{router: router, handler: h}
 	return nil
 }
 
+// node returns the node attached as id.
+func (n *Network) node(id msg.NodeID) (node, bool) {
+	if id < 0 || int(id) >= len(n.nodes) || n.nodes[id].handler == nil {
+		return node{}, false
+	}
+	return n.nodes[id], true
+}
+
 // RouterOf returns the router a node is attached to.
 func (n *Network) RouterOf(id msg.NodeID) (int, bool) {
-	nd, ok := n.nodes[id]
+	nd, ok := n.node(id)
 	return nd.router, ok
 }
 
 // Hops returns the XY hop count between two nodes' routers.
 func (n *Network) Hops(a, b msg.NodeID) int {
-	ra, ok := n.nodes[a]
+	ra, ok := n.node(a)
 	if !ok {
 		return 0
 	}
-	rb, ok := n.nodes[b]
+	rb, ok := n.node(b)
 	if !ok {
 		return 0
 	}
@@ -284,11 +297,11 @@ func (n *Network) Hops(a, b msg.NodeID) int {
 // Send injects a message. Src, Dst and Type must be set. Delivery (or the
 // drop) happens via scheduled events; Send itself never invokes handlers.
 func (n *Network) Send(m *msg.Message) {
-	src, ok := n.nodes[m.Src]
+	src, ok := n.node(m.Src)
 	if !ok {
 		panic(fmt.Sprintf("noc: send from unattached node %d", m.Src))
 	}
-	dst, ok := n.nodes[m.Dst]
+	dst, ok := n.node(m.Dst)
 	if !ok {
 		panic(fmt.Sprintf("noc: send to unattached node %d", m.Dst))
 	}

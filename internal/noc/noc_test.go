@@ -84,6 +84,15 @@ func TestAttachErrors(t *testing.T) {
 	if err := n.Attach(3, 0, nil); err == nil {
 		t.Error("nil handler accepted")
 	}
+	if err := n.Attach(-1, 0, h); err == nil {
+		t.Error("negative node id accepted")
+	}
+	if _, ok := n.RouterOf(5); ok {
+		t.Error("unattached node 5 has a router")
+	}
+	if _, ok := n.RouterOf(1000); ok {
+		t.Error("node 1000, past every attached id, has a router")
+	}
 }
 
 func TestDeliveryAndLatency(t *testing.T) {

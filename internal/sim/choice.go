@@ -18,16 +18,14 @@
 //
 // Time under a chooser stays monotone but becomes an abstraction: the
 // chosen event fires at the timestamp of the earliest pending choice
-// (the heap minimum), not at its own nominal arrival time. Non-choice
+// (the queue minimum), not at its own nominal arrival time. Non-choice
 // events (timers, core issue slots, intermediate hops) still fire in
-// timestamp order when they are the heap minimum, so a timeout only fires
+// timestamp order when they are the queue minimum, so a timeout only fires
 // on paths where every earlier-timed delivery choice has been consumed —
 // bounded-delay network semantics. Arbitrarily late delivery beyond a
 // timeout is modeled explicitly as a dropped message (Decision.Drop)
 // followed by the protocol's reissue path.
 package sim
-
-import "sort"
 
 // Choice is one eligible decision at a choice point: the head event of one
 // ordered channel. Key identifies the channel, Info is the opaque payload
@@ -78,108 +76,69 @@ func (e *Engine) ScheduleChoiceAt(at uint64, fn, dropFn func(arg any, tick uint6
 		return
 	}
 	e.seq++
-	e.pq.push(event{at: at, seq: e.seq, fn: fn, arg: arg, tick: tick, choice: true, key: key, info: info, dropFn: dropFn})
+	i := e.q.push(e.now, at, e.seq, fn, arg, tick)
+	e.q.slots[i].choice = true
+	if int(i) >= len(e.q.side) {
+		e.q.side = append(e.q.side, make([]choicePayload, len(e.q.slots)-len(e.q.side))...)
+	}
+	e.q.side[i] = choicePayload{key: key, info: info, dropFn: dropFn}
 }
 
 // stepChoice resolves one choice point: gather the per-channel head events,
 // present them to the chooser in deterministic order, and fire (or drop)
-// the chosen one at the heap minimum's timestamp.
-func (e *Engine) stepChoice() bool {
-	q := e.pq
-	if e.headScratch == nil {
-		e.headScratch = make(map[uint64]int)
+// the chosen one at minAt, the timestamp of the earliest pending event.
+func (e *Engine) stepChoice(minAt uint64) bool {
+	q := &e.q
+	if e.seenScratch == nil {
+		e.seenScratch = make(map[uint64]bool)
 	}
-	heads := e.headScratch
-	for k := range heads {
-		delete(heads, k)
-	}
-	for i := range q {
-		if !q[i].choice {
-			continue
-		}
-		if j, ok := heads[q[i].key]; !ok || q.less(i, j) {
-			heads[q[i].key] = i
-		}
-	}
-	idxs := e.idxScratch[:0]
-	for _, i := range heads {
-		idxs = append(idxs, i)
-	}
-	sort.Slice(idxs, func(a, b int) bool { return q.less(idxs[a], idxs[b]) })
+	seen := e.seenScratch
+	clear(seen)
+	heads := e.headScratch[:0]
 	choices := e.choiceScratch[:0]
-	for _, i := range idxs {
-		choices = append(choices, Choice{Key: q[i].key, Info: q[i].info, At: q[i].at, CanDrop: q[i].dropFn != nil})
-	}
-	e.idxScratch, e.choiceScratch = idxs, choices
+	e.farScratch = q.inOrder(e.now, e.farScratch, func(i int32, at uint64, far bool) {
+		if !q.slots[i].choice {
+			return
+		}
+		c := &q.side[i]
+		if seen[c.key] {
+			return
+		}
+		seen[c.key] = true
+		heads = append(heads, choiceHead{slot: i, at: at, far: far})
+		choices = append(choices, Choice{Key: c.key, Info: c.info, At: at, CanDrop: c.dropFn != nil})
+	})
+	e.headScratch, e.choiceScratch = heads, choices
 
-	minAt := q[0].at
 	d := e.chooser.Choose(minAt, choices)
 	if d.Halt {
 		e.halted = true
 		return false
 	}
-	if d.Index < 0 || d.Index >= len(idxs) {
+	if d.Index < 0 || d.Index >= len(heads) {
 		panic("sim: chooser decision index out of range")
 	}
-	ev := e.pq.removeAt(idxs[d.Index])
+	h := heads[d.Index]
+	s := &q.slots[h.slot]
+	fn, arg, tick, dropFn := s.fn, s.arg, s.tick, q.side[h.slot].dropFn
+	if d.Drop && dropFn == nil {
+		panic("sim: chooser drop decision for an undroppable choice")
+	}
+	q.remove(h.slot, h.at, h.far)
+	q.release(h.slot)
 	e.now = minAt
 	e.events++
 	if d.Drop {
-		if ev.dropFn == nil {
-			panic("sim: chooser drop decision for an undroppable choice")
-		}
-		ev.dropFn(ev.arg, ev.tick)
+		dropFn(arg, tick)
 	} else {
-		ev.fn(ev.arg, ev.tick)
+		fn(arg, tick)
 	}
 	return true
 }
 
-// removeAt removes and returns the event at heap index i, restoring the
-// heap property. The vacated slot is cleared like pop's.
-func (h *eventHeap) removeAt(i int) event {
-	q := *h
-	n := len(q) - 1
-	ev := q[i]
-	q[i] = q[n]
-	q[n] = event{}
-	q = q[:n]
-	*h = q
-	if i < n {
-		h.fix(i)
-	}
-	return ev
-}
-
-// fix restores the heap property around index i after its value changed:
-// sift down first, then up if the element did not move.
-func (h *eventHeap) fix(i int) {
-	q := *h
-	n := len(q)
-	j := i
-	for {
-		left := 2*j + 1
-		if left >= n {
-			break
-		}
-		least := left
-		if right := left + 1; right < n && q.less(right, left) {
-			least = right
-		}
-		if !q.less(least, j) {
-			break
-		}
-		q[j], q[least] = q[least], q[j]
-		j = least
-	}
-	if j == i {
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !q.less(i, parent) {
-				break
-			}
-			q[i], q[parent] = q[parent], q[i]
-			i = parent
-		}
-	}
+// choiceHead locates one offered choice in the queue.
+type choiceHead struct {
+	slot int32
+	at   uint64
+	far  bool
 }

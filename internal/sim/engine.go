@@ -8,13 +8,17 @@
 // the network model and the fault injector are driven by a single Engine;
 // Engine.Now also timestamps the structured event log (package obs).
 //
-// The event queue is a concrete binary min-heap over a slice of event
-// values. Scheduling is allocation-free in steady state: events are stored
-// by value (no container/heap interface boxing), popped slots are recycled
-// in place, and the backing array stops growing once it reaches the
-// simulation's peak queue depth. Callers that would otherwise allocate a
-// closure per event can use ScheduleCall, which carries a pointer-shaped
-// argument and a tick through the event instead of capturing them.
+// The event queue (queue.go) keeps event payloads in a slab whose free
+// slots form an intrusive chain, so scheduling is allocation-free once the
+// slab reaches the simulation's peak queue depth. Ordering lives outside
+// the slab. Events due within 64 cycles go into a timing wheel: one FIFO
+// per cycle plus an occupancy bitmask, so finding, adding and removing them
+// is O(1). Later events, chiefly fault-detection timeouts thousands of
+// cycles out, go into a 4-ary heap of small (at, seq, slot) keys. Firing
+// order is exactly (time, sequence) either way. Callers that would
+// otherwise allocate a closure per event can use ScheduleCall, which
+// carries a pointer-shaped argument and a tick through the event instead
+// of capturing them.
 //
 // Besides the raw event queue the package provides the two utilities the
 // protocols build their behaviour from: Timer, a restartable one-shot
@@ -30,15 +34,16 @@ import (
 )
 
 // Event-queue health counters, process-wide across every engine: heapPushes
-// counts scheduled events, heapGrows the pushes that had to grow a heap's
-// backing array instead of reusing a recycled slot. pushes-grows is the
-// freelist hit count — in steady state it should dominate, which is what
-// "allocation-free hot path" means for the event queue. ftserve exports
-// both as /metrics gauges.
+// counts scheduled events, heapGrows the pushes that grew the slab (the
+// payload array behind an engine's queue) instead of reusing a free slot.
+// Each engine counts in plain fields and folds its counts in here when Run
+// or RunUntil returns, so the hot path touches no shared cache line.
+// ftserve exports both as /metrics gauges.
 var heapPushes, heapGrows atomic.Uint64
 
 // HeapStats reports how many events were scheduled and how many of those
-// pushes grew a heap's backing array since process start.
+// pushes grew the slab, since process start, over every engine whose Run or
+// RunUntil has returned.
 func HeapStats() (pushes, grows uint64) {
 	return heapPushes.Load(), heapGrows.Load()
 }
@@ -48,95 +53,15 @@ func HeapStats() (pushes, grows uint64) {
 // over-long simulation, depending on context.
 var ErrLimitReached = errors.New("sim: cycle limit reached")
 
-// event is a scheduled callback. fn is always set; arg and tick are the
-// ScheduleCall payload (nil/zero for plain closures, which travel in arg).
-// choice marks the event as a model-checking decision point (see choice.go):
-// key identifies its ordered channel, info carries an opaque payload for the
-// chooser, and dropFn is the alternative callback fired when the chooser
-// decides to lose the event instead of delivering it.
-type event struct {
-	at     uint64
-	seq    uint64
-	fn     func(arg any, tick uint64)
-	arg    any
-	tick   uint64
-	choice bool
-	key    uint64
-	info   uint64
-	dropFn func(arg any, tick uint64)
-}
-
 // runFunc adapts a plain func() stored in arg to the event callback shape.
 // Boxing a func value into an interface stores its (pointer-shaped) value
 // directly, so Schedule stays allocation-free beyond the caller's closure.
 func runFunc(arg any, _ uint64) { arg.(func())() }
 
-// eventHeap is a binary min-heap ordered by (at, seq), implemented with
-// concrete sift-up/sift-down so events never round-trip through interface
-// values. The backing array is retained across pops and reused.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-// push appends ev and restores the heap property.
-func (h *eventHeap) push(ev event) {
-	heapPushes.Add(1)
-	if len(*h) == cap(*h) {
-		heapGrows.Add(1)
-	}
-	*h = append(*h, ev)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum event. The vacated slot is cleared so
-// the backing array does not retain the callback or its argument, but the
-// array itself is kept for reuse.
-func (h *eventHeap) pop() event {
-	q := *h
-	n := len(q) - 1
-	ev := q[0]
-	q[0] = q[n]
-	q[n] = event{}
-	q = q[:n]
-	*h = q
-	// Sift the moved element down to its place.
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		least := left
-		if right := left + 1; right < n && q.less(right, left) {
-			least = right
-		}
-		if !q.less(least, i) {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
-	}
-	return ev
-}
-
 // Engine is a deterministic discrete-event simulator clocked in cycles.
 // The zero value is not usable; create one with NewEngine.
 type Engine struct {
-	pq     eventHeap
+	q      queue
 	now    uint64
 	seq    uint64
 	events uint64
@@ -146,14 +71,15 @@ type Engine struct {
 	// reused across choice points so gathering choices stays cheap.
 	chooser       Chooser
 	halted        bool
-	headScratch   map[uint64]int
-	idxScratch    []int
+	seenScratch   map[uint64]bool
+	headScratch   []choiceHead
 	choiceScratch []Choice
+	farScratch    []farKey
 }
 
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine {
-	return &Engine{pq: make(eventHeap, 0, 1024)}
+	return &Engine{q: newQueue()}
 }
 
 // Now returns the current simulation time in cycles.
@@ -163,13 +89,13 @@ func (e *Engine) Now() uint64 { return e.now }
 func (e *Engine) EventsExecuted() uint64 { return e.events }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.pq) }
+func (e *Engine) Pending() int { return e.q.n }
 
 // Schedule runs fn delay cycles from now. A delay of zero runs fn later in
 // the current cycle (after all events already scheduled for this cycle).
 func (e *Engine) Schedule(delay uint64, fn func()) {
 	e.seq++
-	e.pq.push(event{at: e.now + delay, seq: e.seq, fn: runFunc, arg: fn})
+	e.q.push(e.now, e.now+delay, e.seq, runFunc, fn, 0)
 }
 
 // ScheduleAt runs fn at absolute cycle at. Scheduling in the past is a
@@ -179,7 +105,7 @@ func (e *Engine) ScheduleAt(at uint64, fn func()) {
 		panic(fmt.Sprintf("sim: ScheduleAt(%d) is %d cycles in the past (current cycle %d)", at, e.now-at, e.now))
 	}
 	e.seq++
-	e.pq.push(event{at: at, seq: e.seq, fn: runFunc, arg: fn})
+	e.q.push(e.now, at, e.seq, runFunc, fn, 0)
 }
 
 // ScheduleCall runs fn(arg, tick) delay cycles from now. Unlike Schedule it
@@ -190,7 +116,7 @@ func (e *Engine) ScheduleAt(at uint64, fn func()) {
 // firings.
 func (e *Engine) ScheduleCall(delay uint64, fn func(arg any, tick uint64), arg any, tick uint64) {
 	e.seq++
-	e.pq.push(event{at: e.now + delay, seq: e.seq, fn: fn, arg: arg, tick: tick})
+	e.q.push(e.now, e.now+delay, e.seq, fn, arg, tick)
 }
 
 // ScheduleCallAt is ScheduleCall at an absolute cycle. Scheduling in the
@@ -200,7 +126,7 @@ func (e *Engine) ScheduleCallAt(at uint64, fn func(arg any, tick uint64), arg an
 		panic(fmt.Sprintf("sim: ScheduleCallAt(%d) is %d cycles in the past (current cycle %d, event tick %d)", at, e.now-at, e.now, tick))
 	}
 	e.seq++
-	e.pq.push(event{at: at, seq: e.seq, fn: fn, arg: arg, tick: tick})
+	e.q.push(e.now, at, e.seq, fn, arg, tick)
 }
 
 // Step executes the next event, advancing the clock to its timestamp.
@@ -209,16 +135,27 @@ func (e *Engine) ScheduleCallAt(at uint64, fn func(arg any, tick uint64), arg an
 // a choice event, the step becomes a decision point: the chooser picks
 // which deliverable event fires (see choice.go).
 func (e *Engine) Step() bool {
-	if e.halted || len(e.pq) == 0 {
+	if e.q.n == 0 {
 		return false
 	}
-	if e.chooser != nil && e.pq[0].choice {
-		return e.stepChoice()
+	return e.step(e.q.head(e.now))
+}
+
+// step executes slot i, the earliest pending event, due at cycle at.
+func (e *Engine) step(i int32, at uint64, far bool) bool {
+	if e.halted {
+		return false
 	}
-	ev := e.pq.pop()
-	e.now = ev.at
+	s := &e.q.slots[i]
+	if e.chooser != nil && s.choice {
+		return e.stepChoice(at)
+	}
+	fn, arg, tick := s.fn, s.arg, s.tick
+	e.q.remove(i, at, far)
+	e.q.release(i)
+	e.now = at
 	e.events++
-	ev.fn(ev.arg, ev.tick)
+	fn(arg, tick)
 	return true
 }
 
@@ -227,11 +164,13 @@ func (e *Engine) Step() bool {
 // engine halted, or ErrLimitReached if events remained past the limit. A
 // limit of 0 means no limit.
 func (e *Engine) Run(limit uint64) error {
-	for len(e.pq) > 0 {
-		if limit != 0 && e.pq[0].at > limit {
-			return fmt.Errorf("%w: %d events pending at cycle %d", ErrLimitReached, len(e.pq), limit)
+	defer e.flushStats()
+	for e.q.n > 0 {
+		i, at, far := e.q.head(e.now)
+		if limit != 0 && at > limit {
+			return fmt.Errorf("%w: %d events pending at cycle %d", ErrLimitReached, e.q.n, limit)
 		}
-		if !e.Step() {
+		if !e.step(i, at, far) {
 			return nil
 		}
 	}
@@ -242,16 +181,28 @@ func (e *Engine) Run(limit uint64) error {
 // predicate becomes true, the queue drains, the engine halts, or the limit
 // passes. It returns true when pred was satisfied.
 func (e *Engine) RunUntil(limit uint64, pred func() bool) bool {
+	defer e.flushStats()
 	for !pred() {
-		if len(e.pq) == 0 {
+		if e.q.n == 0 {
 			return pred()
 		}
-		if limit != 0 && e.pq[0].at > limit {
+		i, at, far := e.q.head(e.now)
+		if limit != 0 && at > limit {
 			return pred()
 		}
-		if !e.Step() {
+		if !e.step(i, at, far) {
 			return pred()
 		}
 	}
 	return true
+}
+
+// flushStats adds the engine's queue counters into the process totals and
+// resets them.
+func (e *Engine) flushStats() {
+	if e.q.pushes != 0 {
+		heapPushes.Add(e.q.pushes)
+		heapGrows.Add(e.q.grows)
+		e.q.pushes, e.q.grows = 0, 0
+	}
 }

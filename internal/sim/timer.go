@@ -6,6 +6,12 @@ package sim
 // protocol's fault-detection timeouts (lost request, lost unblock, lost
 // backup deletion acknowledgment).
 //
+// Cancellation is lazy on purpose: a stopped or superseded firing stays
+// queued and runs as a no-op when its time comes. Simulated behaviour
+// depends on it. After a tile death, the drain advances the clock through
+// those stale events, and the survivors' death declaration is timed by that
+// clock (testdata/tile_death.txt pins the result).
+//
 // Timers are designed to be embedded by value in pooled MSHR/transaction
 // entries: the zero value is ready to use after Bind, and arming schedules a
 // package-level callback through Engine.ScheduleCall carrying the *Timer

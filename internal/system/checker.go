@@ -1,8 +1,10 @@
 package system
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/msg"
 	"repro/internal/proto"
@@ -27,11 +29,17 @@ func (s *System) CheckCoherence() []error {
 	// afterwards), not a map of per-address slices: the flat slice grows
 	// geometrically, while the map costs an allocation per address. The
 	// stable sort preserves agent order within each line, which keeps error
-	// messages deterministic.
+	// messages deterministic. The slice comes from viewPool and goes back
+	// to it on return; no error retains it.
 	// Dead agents are excluded: their state froze mid-transaction at the
 	// death instant, and the reconstruction flush re-established the
 	// invariants over the survivors alone.
-	var views []agentView
+	buf := viewPool.Get().(*[]agentView)
+	views := (*buf)[:0]
+	defer func() {
+		*buf = views[:0]
+		viewPool.Put(buf)
+	}()
 	for _, a := range s.agents {
 		id := a.NodeID()
 		if s.deadNodes[id] {
@@ -41,7 +49,7 @@ func (s *System) CheckCoherence() []error {
 			views = append(views, agentView{node: id, v: v})
 		})
 	}
-	sort.SliceStable(views, func(i, j int) bool { return views[i].v.Addr < views[j].v.Addr })
+	slices.SortStableFunc(views, func(a, b agentView) int { return cmp.Compare(a.v.Addr, b.v.Addr) })
 
 	expectTokens := 0
 	if s.cfg.Protocol.tokenBased() {
@@ -66,6 +74,12 @@ func (s *System) CheckCoherence() []error {
 	}
 	return errs
 }
+
+// viewPool recycles CheckCoherence's view buffers across systems. Every run
+// checks coherence once, at its end, so a buffer kept per System would never
+// be reused; pooled, the next run's check starts at the size it needs
+// instead of regrowing from empty.
+var viewPool = sync.Pool{New: func() any { return new([]agentView) }}
 
 // checkTokens enforces token conservation at quiescence: every line's
 // tokens sum to exactly T and exactly one agent holds the owner token.
