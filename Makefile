@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check sim-check serve-check trace-check load-check
+.PHONY: check vet build test race bench bench-diff sweep-bench docs-check coverage-quick tile-check mc-check sim-check serve-check trace-check load-check baseline-check
 
-check: vet build race docs-check coverage-quick tile-check mc-check sim-check serve-check load-check
+check: vet build race docs-check coverage-quick tile-check mc-check sim-check serve-check load-check baseline-check
 
 vet:
 	$(GO) vet ./...
@@ -82,6 +82,18 @@ trace-check:
 load-check:
 	$(GO) test -race ./cmd/ftload
 	$(GO) run ./cmd/ftload -serve 2 -clients 64 -requests 128 -workers 1 -json > /dev/null
+
+# baseline-check pins the DirCMP baseline, which runs on the FtDirCMP
+# controllers with ft=false (internal/core): the end-to-end pin
+# (testdata/dircmp.txt: cycles, event stream, Result and memory image per
+# workload, plus deadlock dumps), the allocation pins (DirCMP may not
+# allocate more per run than FtDirCMP), the DirCMP unit and system tests,
+# the tile-death and exhaustive-coverage contrasts, the interleaving golden
+# with its DirCMP state hashes, the model checker's DirCMP counterexample,
+# and the profile golden's DirCMP columns. No -race: the allocation pins
+# are built only without it.
+baseline-check:
+	$(GO) test -count=1 -run 'TestDirCMP|AllocsPin|TestDisabledInstrumentationZeroAlloc|TestTileDeath.*DirCMP|TestCoverageExhaustiveQuick|TestGoldenInterleaveReport|TestExploreDirCMPCounterexample|TestProfileGoldenAndParallelismInvariant' . ./internal/core ./internal/system ./internal/mc ./cmd/ftexp
 
 # bench regenerates every benchmark number (ns/op plus the custom paper
 # metrics, including the span-reconstructor cost and the event-emission

@@ -35,3 +35,27 @@ func TestFig3QuickAllocsPin(t *testing.T) {
 		t.Errorf("quick Fig-3 run: %.0f allocs, want <= %d (pre-pooling baseline was ~130000)", n, maxAllocs)
 	}
 }
+
+// TestDirCMPAllocsPin holds the baseline to the fault-tolerant protocol's
+// allocation budget: DirCMP runs on the same pooled controllers as
+// FtDirCMP and does strictly less work (no backups, timers or
+// acknowledgment handshakes), so it must not allocate more per run.
+func TestDirCMPAllocsPin(t *testing.T) {
+	allocs := func(p Protocol) float64 {
+		run := func() {
+			cfg := benchConfig()
+			cfg.Protocol = p
+			if _, err := Run(cfg, "uniform"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		run()
+		return testing.AllocsPerRun(3, run)
+	}
+	dir, ft := allocs(DirCMP), allocs(FtDirCMP)
+	t.Logf("allocs/run: DirCMP %.0f, FtDirCMP %.0f", dir, ft)
+	if dir > ft {
+		t.Errorf("DirCMP %.0f allocs/run > FtDirCMP %.0f", dir, ft)
+	}
+}

@@ -244,3 +244,32 @@ func TestDocsSpanPhaseTable(t *testing.T) {
 		}
 	}
 }
+
+var internalPath = regexp.MustCompile(`internal/[a-z0-9_]+(/[A-Za-z0-9_./-]*[A-Za-z0-9_])?`)
+
+// TestDocsInternalPathsExist checks that every internal/<pkg> path the
+// documentation cites (a package, or a file inside one) exists on disk, so
+// a moved or deleted package cannot leave the docs pointing at nothing.
+func TestDocsInternalPathsExist(t *testing.T) {
+	files := []string{"README.md", "DESIGN.md", "PROTOCOL.md", "EXPERIMENTS.md"}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := 0
+	for _, file := range append(files, docs...) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range internalPath.FindAllString(string(data), -1) {
+			cited++
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("%s cites %s, which does not exist", file, p)
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("no internal/ paths found; is the pattern broken?")
+	}
+}

@@ -1,10 +1,26 @@
-// Package core implements FtDirCMP, the paper's primary contribution: a
-// directory-based MOESI cache coherence protocol that guarantees correct
-// program execution even when the interconnection network loses messages
-// due to transient faults (§3 of the paper).
+// Package core implements the directory-based MOESI cache coherence
+// protocols of the paper: DirCMP, the baseline (§2), and FtDirCMP, the
+// paper's primary contribution, which guarantees correct program execution
+// even when the interconnection network loses messages due to transient
+// faults (§3). One set of controllers (L1, L2 bank, memory) implements
+// both; the ft constructor argument selects the protocol.
 //
-// FtDirCMP extends the DirCMP baseline (package dircmp) with four
-// mechanisms:
+// DirCMP, the baseline:
+//
+//   - The L2 is shared, physically distributed (one bank per tile,
+//     line-interleaved homes) and non-inclusive; each bank acts as the
+//     directory for the L1 caches.
+//   - Per-line busy states serialize transactions: the directory attends
+//     one request per line at a time and defers the rest in a queue until
+//     the Unblock/UnblockEx (or the writeback data) closes the transaction.
+//   - Writebacks are three-phase (Put → WbAck → WbData/WbNoData) to
+//     coordinate them with other requests.
+//   - A migratory-sharing optimization converts read-modify-write sharing
+//     into exclusive grants.
+//
+// DirCMP assumes a reliable network: losing any message deadlocks it (and
+// may lose data), which is exactly what the evaluation demonstrates.
+// FtDirCMP (ft=true) repairs that with four mechanisms:
 //
 //  1. Reliable ownership transference (§3.1). Whenever owned data moves
 //     between nodes, the sender keeps a backup copy (Backup state) until an
@@ -43,8 +59,17 @@
 //     (waiting for memory's AckBD) the line can still move between L1s; it
 //     only cannot be written back to memory.
 //
-// The controllers never assume a message arrives: every handler tolerates
-// duplicates from reissues and discards stale serial numbers.
+// The controllers test ft only where one of these mechanisms takes effect:
+// arming a timer, drawing a serial number, creating a backup or blocked
+// entry, detecting a reissue, or deferring the L2's UnblockEx to memory.
+// With ft=false none of them acts, every serial number stays zero, and the
+// message exchange is DirCMP's.
+//
+// In FtDirCMP the controllers never assume a message arrives: every handler
+// tolerates duplicates from reissues and discards stale serial numbers.
+//
+// The implementation is single-threaded by construction: all controllers
+// run inside the discrete-event engine.
 package core
 
 import (
@@ -139,10 +164,10 @@ func permOf(s int) proto.Permission {
 	}
 }
 
-// protocolPanic reports a broken internal invariant. Unlike DirCMP, the
-// fault-tolerant controllers only panic on states that are impossible even
-// under arbitrary message loss — anything a fault can cause is handled or
-// counted instead.
+// protocolPanic reports a broken internal invariant. The controllers only
+// panic on states that are impossible even under arbitrary message loss —
+// anything a fault can cause is handled or counted instead (in DirCMP, by a
+// deadlock).
 func protocolPanic(format string, args ...any) {
 	panic("core: protocol invariant violated: " + fmt.Sprintf(format, args...))
 }

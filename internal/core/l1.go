@@ -9,8 +9,8 @@ import (
 	"repro/internal/stats"
 )
 
-// l1Miss is an FtDirCMP L1 MSHR entry. Besides the baseline bookkeeping it
-// carries the request serial number and the lost-request timer.
+// l1Miss is an L1 MSHR entry. Besides the baseline bookkeeping it carries
+// the request serial number and the lost-request timer (FtDirCMP only).
 //
 // owner/addr are back-references set at Alloc so the entry itself can be the
 // argument of a package-level timer callback (Timer.StartCall); arming a
@@ -116,8 +116,10 @@ type blockedEntry struct {
 	deferred map[msg.NodeID]msg.Message
 }
 
-// L1 is an FtDirCMP level-1 cache controller.
+// L1 is a level-1 cache controller.
 type L1 struct {
+	// ft selects FtDirCMP; false runs the DirCMP baseline.
+	ft     bool
 	id     msg.NodeID
 	topo   proto.Topology
 	params proto.Params
@@ -130,7 +132,7 @@ type L1 struct {
 	wb      *cache.Table[l1WB]
 	backups *cache.Table[backupEntry]
 	blocked *cache.Table[blockedEntry]
-	serial  *msg.SerialSpace
+	serial  *msg.SerialSpace // nil in DirCMP
 	tids    proto.TIDSource
 	onWrite proto.WriteObserver
 	obs     *obs.Recorder
@@ -148,14 +150,16 @@ type L1 struct {
 var _ proto.L1Port = (*L1)(nil)
 var _ proto.Inspectable = (*L1)(nil)
 
-// NewL1 builds an FtDirCMP L1 controller. onWrite may be nil.
+// NewL1 builds an L1 controller: FtDirCMP when ft is set, DirCMP
+// otherwise. onWrite may be nil.
 func NewL1(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.Engine,
-	net proto.Sender, run *stats.Run, onWrite proto.WriteObserver) (*L1, error) {
+	net proto.Sender, run *stats.Run, onWrite proto.WriteObserver, ft bool) (*L1, error) {
 	arr, err := cache.NewArray(params.L1Size, params.L1Ways, params.LineSize)
 	if err != nil {
 		return nil, err
 	}
 	l := &L1{
+		ft:      ft,
 		id:      id,
 		topo:    topo,
 		params:  params,
@@ -167,9 +171,11 @@ func NewL1(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 		wb:      cache.NewTableReset[l1WB](0, resetL1WB),
 		backups: cache.NewTableReset[backupEntry](0, resetBackup),
 		blocked: cache.NewTableReset[blockedEntry](0, resetBlocked),
-		serial:  msg.NewSerialSpace(params.SerialBits),
 		tids:    proto.NewTIDSource(id),
 		onWrite: onWrite,
+	}
+	if ft {
+		l.serial = msg.NewSerialSpace(params.SerialBits)
 	}
 	l.victimFilter = func(c *cache.Line) bool {
 		return l.mshr.Get(c.Addr) == nil && l.wb.Get(c.Addr) == nil && l.blocked.Get(c.Addr) == nil
@@ -222,6 +228,22 @@ func (l *L1) homeL2(addr msg.Addr) msg.NodeID {
 		return l.domains.HomeL2(addr)
 	}
 	return l.topo.HomeL2(addr)
+}
+
+// nextSN draws a request serial number (§3.5); DirCMP leaves them zero.
+func (l *L1) nextSN() msg.SerialNumber {
+	if !l.ft {
+		return 0
+	}
+	return l.serial.Next()
+}
+
+// startTimer arms one of the Table-3 timeouts; DirCMP runs none.
+func (l *L1) startTimer(t *sim.Timer, delay uint64, fire func(any), arg any) {
+	if l.ft {
+		t.Bind(l.engine)
+		t.StartCall(delay, fire, arg)
+	}
 }
 
 // Halt permanently silences this controller (its tile died): all timers
@@ -337,13 +359,12 @@ func (l *L1) startMiss(addr msg.Addr, write bool, value uint64, done func(proto.
 	e.issuedAt = l.engine.Now()
 	e.done = done
 	e.tid = l.tids.Next()
-	e.sn = l.serial.Next()
+	e.sn = l.nextSN()
 	e.snHistory = append(e.snHistory, e.sn)
 	e.reqType = msg.GetS
 	if write {
 		e.reqType = msg.GetX
 	}
-	e.timer.Bind(l.engine)
 	l.send(&msg.Message{Type: e.reqType, Dst: l.homeL2(addr), Addr: addr, SN: e.sn, TID: e.tid})
 	l.armLostRequest(addr, e)
 }
@@ -351,7 +372,7 @@ func (l *L1) startMiss(addr msg.Addr, write bool, value uint64, done func(proto.
 // armLostRequest starts (or restarts) the lost-request timeout: when it
 // fires, the request is reissued with a new serial number (§3.2).
 func (l *L1) armLostRequest(addr msg.Addr, e *l1Miss) {
-	e.timer.StartCall(sim.Backoff(l.params.LostRequestTimeout, e.attempts), lostRequestFired, e)
+	l.startTimer(&e.timer, sim.Backoff(l.params.LostRequestTimeout, e.attempts), lostRequestFired, e)
 }
 
 func lostRequestFired(arg any) {
@@ -371,7 +392,7 @@ func lostRequestFired(arg any) {
 	l.obs.TimeoutFired("l1", l.id, addr, e.tid, obs.TimeoutLostRequest)
 	e.attempts++
 	oldSN := e.sn
-	e.sn = l.serial.Next()
+	e.sn = l.nextSN()
 	l.obs.Reissue("l1", l.id, addr, e.tid, e.reqType, oldSN, e.sn)
 	if len(e.snHistory) < l.serial.Width() {
 		e.snHistory = append(e.snHistory, e.sn)
@@ -545,15 +566,21 @@ func (l *L1) handleFwd(m *msg.Message) {
 	l.stale(false)
 }
 
-// sendOwned transmits owned data in response to a forwarded request and
-// installs the backup entry that guards the transfer.
+// sendOwned transmits owned data in response to a forwarded request. In
+// FtDirCMP a backup entry guards the transfer; DirCMP just hands it over.
 func (l *L1) sendOwned(addr msg.Addr, m *msg.Message, payload msg.Payload, dirty bool) {
+	if !l.ft {
+		l.send(&msg.Message{
+			Type: msg.DataEx, Dst: m.Requestor, Addr: addr, SN: m.SN, TID: m.TID,
+			Payload: payload, Dirty: true, AckCount: m.AckCount,
+		})
+		return
+	}
 	b := l.backups.Get(addr)
 	if b == nil {
 		b = l.backups.Alloc(addr)
 		b.owner = l
 		b.addr = addr
-		b.timer.Bind(l.engine)
 		l.obs.BackupCreated("l1", l.id, addr, m.TID, m.Requestor)
 	}
 	b.payload = payload
@@ -572,7 +599,7 @@ func (l *L1) sendOwned(addr msg.Addr, m *msg.Message, payload msg.Payload, dirty
 // armBackup starts the backup timeout: a node stuck holding a backup pings
 // the receiver to learn whether the ownership transfer completed.
 func (l *L1) armBackup(addr msg.Addr, b *backupEntry) {
-	b.timer.StartCall(l.params.BackupTimeout, backupFired, b)
+	l.startTimer(&b.timer, l.params.BackupTimeout, backupFired, b)
 }
 
 func backupFired(arg any) {
@@ -589,13 +616,13 @@ func backupFired(arg any) {
 	}
 	l.run.Proto.BackupTimeouts++
 	l.obs.TimeoutFired("l1", l.id, addr, b.tid, obs.TimeoutBackup)
-	l.send(&msg.Message{Type: msg.OwnershipPing, Dst: b.dest, Addr: addr, SN: l.serial.Next(), TID: b.tid})
+	l.send(&msg.Message{Type: msg.OwnershipPing, Dst: b.dest, Addr: addr, SN: l.nextSN(), TID: b.tid})
 	l.armBackup(addr, b)
 }
 
-// handleWbAck performs the second writeback phase. Sending WbData starts an
-// ownership transfer to the L2, so the entry becomes a backup until the
-// L2's AckO arrives.
+// handleWbAck performs the second writeback phase. In FtDirCMP sending
+// WbData starts an ownership transfer to the L2, so the entry becomes a
+// backup until the L2's AckO arrives; in DirCMP the writeback is over.
 func (l *L1) handleWbAck(m *msg.Message) {
 	w := l.wb.Get(m.Addr)
 	if w == nil || w.sentData {
@@ -605,29 +632,33 @@ func (l *L1) handleWbAck(m *msg.Message) {
 	w.putTimer.Stop()
 	if m.WantData && !w.transferred {
 		l.sendWbData(m.Addr, w, m.SN)
-		return
+		if l.ft {
+			return
+		}
+	} else {
+		l.send(&msg.Message{Type: msg.WbNoData, Dst: m.Src, Addr: m.Addr, SN: m.SN, TID: w.tid})
 	}
-	l.send(&msg.Message{Type: msg.WbNoData, Dst: m.Src, Addr: m.Addr, SN: m.SN, TID: w.tid})
 	l.freeWB(m.Addr, w)
 }
 
-// sendWbData transmits the writeback data and arms the backup timer: the
-// entry is now the backup for an ownership transfer to the L2.
+// sendWbData transmits the writeback data. In FtDirCMP the entry is now the
+// backup for an ownership transfer to the L2, guarded by the backup timer.
 func (l *L1) sendWbData(addr msg.Addr, w *l1WB, sn msg.SerialNumber) {
 	w.sentData = true
 	w.sn = sn
-	l.obs.BackupCreated("l1", l.id, addr, w.tid, l.homeL2(addr))
+	if l.ft {
+		l.obs.BackupCreated("l1", l.id, addr, w.tid, l.homeL2(addr))
+	}
 	l.send(&msg.Message{
 		Type: msg.WbData, Dst: l.homeL2(addr), Addr: addr, SN: sn, TID: w.tid,
 		Payload: w.payload, Dirty: w.dirty,
 	})
-	w.backupTimer.Bind(l.engine)
 	l.armWbBackup(addr, w)
 }
 
 // armWbBackup pings the L2 if the AckO for our WbData never arrives.
 func (l *L1) armWbBackup(addr msg.Addr, w *l1WB) {
-	w.backupTimer.StartCall(l.params.BackupTimeout, wbBackupFired, w)
+	l.startTimer(&w.backupTimer, l.params.BackupTimeout, wbBackupFired, w)
 }
 
 func wbBackupFired(arg any) {
@@ -642,7 +673,7 @@ func wbBackupFired(arg any) {
 	}
 	l.run.Proto.BackupTimeouts++
 	l.obs.TimeoutFired("l1", l.id, addr, w.tid, obs.TimeoutBackup)
-	l.send(&msg.Message{Type: msg.OwnershipPing, Dst: l.homeL2(addr), Addr: addr, SN: l.serial.Next(), TID: w.tid})
+	l.send(&msg.Message{Type: msg.OwnershipPing, Dst: l.homeL2(addr), Addr: addr, SN: l.nextSN(), TID: w.tid})
 	l.armWbBackup(addr, w)
 }
 
@@ -827,12 +858,11 @@ func (l *L1) tryComplete(addr msg.Addr, e *l1Miss) {
 	}
 	e.timer.Stop()
 
-	// Ownership moved to us on any DataEx that carried the data (a
-	// dataless grant means we already owned the line): enter the
+	// In FtDirCMP, ownership moved to us on any DataEx that carried the
+	// data (a dataless grant means we already owned the line): enter the
 	// blocked-ownership state and acknowledge (§3.1).
 	home := l.homeL2(addr)
-	transfer := e.exclusive && !e.noPayload
-	if transfer {
+	if l.ft && e.exclusive && !e.noPayload {
 		b := l.blocked.Alloc(addr)
 		b.owner = l
 		b.addr = addr
@@ -840,7 +870,6 @@ func (l *L1) tryComplete(addr msg.Addr, e *l1Miss) {
 		b.tid = e.tid
 		b.sn = e.sn
 		b.piggy = e.dataFrom == home && !l.params.DisablePiggyback
-		b.timer.Bind(l.engine)
 		l.run.Proto.AcksOSent++
 		if b.piggy {
 			l.run.Proto.PiggybackedAcksO++
@@ -891,7 +920,7 @@ func tryCompleteRetry(arg any, _ uint64) {
 // armLostAckBD starts the lost backup deletion acknowledgment timeout: on
 // firing, the AckO is reissued with a new serial number (§3.4).
 func (l *L1) armLostAckBD(addr msg.Addr, b *blockedEntry) {
-	b.timer.StartCall(l.params.LostAckBDTimeout, lostAckBDFired, b)
+	l.startTimer(&b.timer, l.params.LostAckBDTimeout, lostAckBDFired, b)
 }
 
 func lostAckBDFired(arg any) {
@@ -908,7 +937,7 @@ func lostAckBDFired(arg any) {
 	l.run.Proto.LostAckBDTimeouts++
 	l.obs.TimeoutFired("l1", l.id, addr, b.tid, obs.TimeoutLostAckBD)
 	oldSN := b.sn
-	b.sn = l.serial.Next()
+	b.sn = l.nextSN()
 	l.obs.Reissue("l1", l.id, addr, b.tid, msg.AckO, oldSN, b.sn)
 	b.piggy = false // resends are standalone AckO messages
 	l.run.Proto.AcksOSent++
@@ -968,8 +997,7 @@ func (l *L1) evict(line *cache.Line, cause msg.TID) {
 	w.payload = line.Payload
 	w.dirty = line.Dirty || line.State == StateM
 	w.tid = l.tids.Next()
-	w.sn = l.serial.Next()
-	w.putTimer.Bind(l.engine)
+	w.sn = l.nextSN()
 	l.obs.StateChange("l1", l.id, addr, w.tid, stateName(line.State), "WB")
 	l.run.Proto.Writebacks++
 	l.send(&msg.Message{Type: msg.Put, Dst: l.homeL2(addr), Addr: addr, SN: w.sn, TID: w.tid})
@@ -979,7 +1007,7 @@ func (l *L1) evict(line *cache.Line, cause msg.TID) {
 
 // armPutTimer reissues a Put whose WbAck never arrived.
 func (l *L1) armPutTimer(addr msg.Addr, w *l1WB) {
-	w.putTimer.StartCall(sim.Backoff(l.params.LostRequestTimeout, w.attempts), putTimerFired, w)
+	l.startTimer(&w.putTimer, sim.Backoff(l.params.LostRequestTimeout, w.attempts), putTimerFired, w)
 }
 
 func putTimerFired(arg any) {
@@ -997,7 +1025,7 @@ func putTimerFired(arg any) {
 	l.obs.TimeoutFired("l1", l.id, addr, w.tid, obs.TimeoutLostRequest)
 	w.attempts++
 	oldSN := w.sn
-	w.sn = l.serial.Next()
+	w.sn = l.nextSN()
 	l.obs.Reissue("l1", l.id, addr, w.tid, msg.Put, oldSN, w.sn)
 	l.send(&msg.Message{Type: msg.Put, Dst: l.homeL2(addr), Addr: addr, SN: w.sn, TID: w.tid})
 	l.armPutTimer(addr, w)
@@ -1076,12 +1104,13 @@ func (l *L1) InspectLines(fn func(proto.LineView)) {
 			State: "backup", SN: b.sn})
 	})
 	l.wb.ForEach(func(addr msg.Addr, w *l1WB) {
-		if w.transferred {
+		if w.transferred && l.ft {
+			// FtDirCMP reports the handed-over data as its backup entry.
 			return
 		}
 		fn(proto.LineView{
 			Addr:      addr,
-			Owner:     !w.sentData,
+			Owner:     !w.sentData && !w.transferred,
 			Backup:    w.sentData,
 			Transient: true,
 			Payload:   w.payload,

@@ -1,10 +1,10 @@
 package core
 
-// White-box tests driving the FtDirCMP L1 controller directly with a fake
-// network: each test crafts the exact incoming messages and asserts the
-// exact outgoing ones, isolating transitions that are hard to pin from
+// White-box tests driving the L1 controller directly with a fake network:
+// each test crafts the exact incoming messages and asserts the exact
+// outgoing ones, isolating transitions that are hard to pin from
 // system-level runs (stale-message tolerance, idempotent acknowledgments,
-// ping answers).
+// ping answers). Exchanges both protocols share run in both modes.
 
 import (
 	"testing"
@@ -57,14 +57,20 @@ func testParams() proto.Params {
 	}
 }
 
-// testL1 builds an isolated L1 with a fake network.
+// testL1 builds an isolated FtDirCMP L1 with a fake network.
 func testL1(t *testing.T) (*L1, *fakeNet, *sim.Engine) {
+	t.Helper()
+	return newTestL1(t, true)
+}
+
+// newTestL1 builds an isolated L1 (FtDirCMP when ft, else DirCMP).
+func newTestL1(t *testing.T, ft bool) (*L1, *fakeNet, *sim.Engine) {
 	t.Helper()
 	topo := proto.Topology{Tiles: 4, Mems: 2, LineSize: 64}
 	engine := sim.NewEngine()
 	net := &fakeNet{}
-	run := stats.NewRun("FtDirCMP", "unit")
-	l1, err := NewL1(topo.L1(0), topo, testParams(), engine, net, run, nil)
+	run := stats.NewRun(protoName(ft), "unit")
+	l1, err := NewL1(topo.L1(0), topo, testParams(), engine, net, run, nil, ft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +109,7 @@ func fill(t *testing.T, l *L1, net *fakeNet, engine *sim.Engine, addr msg.Addr, 
 		t.Fatal("fill miss never completed")
 	}
 	// Complete the ownership handshake so the line is not blocked.
-	if write {
+	if write && l.ft {
 		un := net.lastOfType(msg.UnblockEx)
 		if un == nil || !un.PiggybackAckO {
 			t.Fatalf("fill write did not piggyback AckO: %v", net.sent)
@@ -320,4 +326,134 @@ func TestL1QuiescedLifecycle(t *testing.T) {
 	}
 	_ = net
 	_ = engine
+}
+
+func TestL1ReadMissIssuesGetS(t *testing.T) {
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		l1, net, engine := newTestL1(t, ft)
+		done := false
+		var got proto.AccessResult
+		l1.Read(0x40, func(r proto.AccessResult) { done = true; got = r })
+		req := net.lastOfType(msg.GetS)
+		if req == nil || req.Dst != l1.topo.HomeL2(0x40) {
+			t.Fatalf("no GetS to the home bank: %v", net.sent)
+		}
+		if (req.SN != 0) != ft {
+			t.Fatalf("request serial number %d in %s", req.SN, protoName(ft))
+		}
+		net.take()
+		l1.Handle(&msg.Message{
+			Type: msg.Data, Src: req.Dst, Dst: l1.NodeID(), Addr: 0x40, SN: req.SN,
+			Payload: msg.Payload{Value: 11, Version: 2},
+		})
+		engine.RunUntil(1000, func() bool { return done })
+		if !done || got.Value != 11 || got.Version != 2 || got.Hit {
+			t.Fatalf("miss result %+v", got)
+		}
+		if un := net.lastOfType(msg.Unblock); un == nil || un.SN != req.SN {
+			t.Fatalf("no Unblock after the fill: %v", net.sent)
+		}
+	})
+}
+
+func TestL1WriteMissWaitsForAcks(t *testing.T) {
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		l1, net, engine := newTestL1(t, ft)
+		done := false
+		l1.Write(0x40, 9, func(proto.AccessResult) { done = true })
+		sn := net.lastOfType(msg.GetX).SN
+		net.take()
+		home := l1.topo.HomeL2(0x40)
+		l1.Handle(&msg.Message{
+			Type: msg.DataEx, Src: home, Dst: l1.NodeID(), Addr: 0x40, SN: sn, AckCount: 2,
+			Payload: msg.Payload{Value: 1, Version: 1},
+		})
+		engine.RunUntil(engine.Now()+100, func() bool { return done })
+		if done {
+			t.Fatal("write completed before the invalidation acks")
+		}
+		l1.Handle(&msg.Message{Type: msg.Ack, Src: 2, Dst: l1.NodeID(), Addr: 0x40, SN: sn})
+		l1.Handle(&msg.Message{Type: msg.Ack, Src: 3, Dst: l1.NodeID(), Addr: 0x40, SN: sn})
+		engine.RunUntil(1000, func() bool { return done })
+		if !done {
+			t.Fatal("write never completed")
+		}
+		un := net.lastOfType(msg.UnblockEx)
+		if un == nil {
+			t.Fatalf("no UnblockEx: %v", net.sent)
+		}
+		// Only FtDirCMP acknowledges the ownership it received (§3.1).
+		if un.PiggybackAckO != ft || (l1.blocked.Len() == 1) != ft {
+			t.Fatalf("%s: piggybacked AckO %v, blocked entries %d", protoName(ft), un.PiggybackAckO, l1.blocked.Len())
+		}
+	})
+}
+
+func TestL1AcksArrivingBeforeData(t *testing.T) {
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		l1, net, engine := newTestL1(t, ft)
+		done := false
+		l1.Write(0x40, 9, func(proto.AccessResult) { done = true })
+		sn := net.lastOfType(msg.GetX).SN
+		// Both acks overtake the data (different virtual channels).
+		l1.Handle(&msg.Message{Type: msg.Ack, Src: 2, Dst: l1.NodeID(), Addr: 0x40, SN: sn})
+		l1.Handle(&msg.Message{Type: msg.Ack, Src: 3, Dst: l1.NodeID(), Addr: 0x40, SN: sn})
+		l1.Handle(&msg.Message{
+			Type: msg.DataEx, Src: l1.topo.HomeL2(0x40), Dst: l1.NodeID(), Addr: 0x40, SN: sn, AckCount: 2,
+			Payload: msg.Payload{Value: 1, Version: 1},
+		})
+		engine.RunUntil(1000, func() bool { return done })
+		if !done {
+			t.Fatal("early acks were lost")
+		}
+	})
+}
+
+// TestL1ForwardedGetXTransfersOwnership: serving a forwarded GetX hands
+// the line to the requester. FtDirCMP keeps a backup until the new owner's
+// AckO (§3.1); DirCMP forgets the line at once.
+func TestL1ForwardedGetXTransfersOwnership(t *testing.T) {
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		l, net, engine := newTestL1(t, ft)
+		const addr = 0x40
+		fill(t, l, net, engine, addr, true)
+		l.Handle(&msg.Message{
+			Type: msg.GetX, Src: l.topo.HomeL2(addr), Dst: l.id, Addr: addr, SN: testSN(ft, 50),
+			Forwarded: true, Requestor: 3,
+		})
+		dx := net.lastOfType(msg.DataEx)
+		if dx == nil || dx.Dst != 3 || !dx.Dirty || dx.Payload.Value != 0xabc {
+			t.Fatalf("forwarded GetX answered wrongly: %v", net.sent)
+		}
+		if l.array.Lookup(addr) != nil {
+			t.Fatal("line still valid after the transfer")
+		}
+		if (l.backups.Len() == 1) != ft || l.Quiesced() == ft {
+			t.Fatalf("%s: %d backups, quiesced %v", protoName(ft), l.backups.Len(), l.Quiesced())
+		}
+	})
+}
+
+// TestL1WritebackCompletesOnWbAck: the second writeback phase sends the
+// data. In FtDirCMP the entry stays as the backup until the L2's AckO; in
+// DirCMP the writeback is over.
+func TestL1WritebackCompletesOnWbAck(t *testing.T) {
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		l, net, engine := newTestL1(t, ft)
+		const addr = 0x40
+		fill(t, l, net, engine, addr, true)
+		l.evict(l.array.Lookup(addr), 0)
+		put := net.lastOfType(msg.Put)
+		if put == nil || (put.SN != 0) != ft {
+			t.Fatalf("no Put: %v", net.sent)
+		}
+		l.Handle(&msg.Message{Type: msg.WbAck, Src: put.Dst, Dst: l.id, Addr: addr, SN: put.SN, WantData: true})
+		wb := net.lastOfType(msg.WbData)
+		if wb == nil || wb.Payload.Value != 0xabc || !wb.Dirty {
+			t.Fatalf("no WbData: %v", net.sent)
+		}
+		if l.Quiesced() == ft {
+			t.Fatalf("%s: quiesced %v after WbData", protoName(ft), l.Quiesced())
+		}
+	})
 }

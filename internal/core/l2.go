@@ -23,7 +23,8 @@ func l2StateName(s int) string {
 	}
 }
 
-// Transaction phases for the per-line FtDirCMP L2 MSHR.
+// Transaction phases for the per-line L2 MSHR. DirCMP uses the subset
+// without ownership acknowledgments.
 const (
 	phaseIdle = iota
 	// phaseWaitUnblock: a response or forward went to an L1; waiting for
@@ -69,6 +70,37 @@ type pendingReq struct {
 	from msg.NodeID
 	tid  msg.TID
 	sn   msg.SerialNumber
+}
+
+// Outcomes of reissue detection for a request to a busy line.
+const (
+	// reqNew: a new request, to be queued.
+	reqNew = iota
+	// reqResend: the in-service requester reissued under a new serial
+	// number; its response may be lost, so answer again.
+	reqResend
+	// reqAbsorbed: a duplicate of the in-service attempt, or a reissue of
+	// a queued request (whose serial number is updated in place).
+	reqAbsorbed
+)
+
+// reissue applies FtDirCMP's reissue detection (§3.2) to m, a request for
+// a line whose transaction cur is in service with queue waiting behind it.
+func reissue(cur *pendingReq, queue []pendingReq, m *msg.Message) int {
+	if cur.from == m.Src && cur.typ == m.Type {
+		if cur.sn == m.SN {
+			return reqAbsorbed
+		}
+		cur.sn = m.SN
+		return reqResend
+	}
+	for i := range queue {
+		if queue[i].from == m.Src && queue[i].typ == m.Type {
+			queue[i].sn = m.SN
+			return reqAbsorbed
+		}
+	}
+	return reqNew
 }
 
 // extBlock marks an externally blocked line (§3.1.1): the UnblockEx+AckO
@@ -182,15 +214,20 @@ func resetL2Trans(t *l2Trans) {
 	}
 }
 
-// migInfo is the migratory-sharing detector state (identical to DirCMP's).
+// migInfo is the migratory-sharing detector state: a line becomes
+// migratory when a node writes the line it just read while others were
+// using it (read-modify-write), and stops being migratory when two
+// different nodes read it in a row.
 type migInfo struct {
 	lastReader  msg.NodeID
 	lastWasRead bool
 	migratory   bool
 }
 
-// L2 is an FtDirCMP shared-L2 bank plus its slice of the directory.
+// L2 is a shared-L2 bank plus its slice of the directory.
 type L2 struct {
+	// ft selects FtDirCMP; false runs the DirCMP baseline.
+	ft     bool
 	id     msg.NodeID
 	topo   proto.Topology
 	params proto.Params
@@ -202,9 +239,10 @@ type L2 struct {
 	trans  *cache.Table[l2Trans]
 	ext    *cache.Table[extBlock]
 	mig    map[msg.Addr]migInfo
-	serial *msg.SerialSpace
+	serial *msg.SerialSpace // nil in DirCMP
 	tids   proto.TIDSource
 	obs    *obs.Recorder
+	names  *l2Names
 
 	// domains is the structural-fault failure detector (nil without
 	// structural faults); halted is set when this tile dies.
@@ -218,14 +256,16 @@ type L2 struct {
 
 var _ proto.Inspectable = (*L2)(nil)
 
-// NewL2 builds an FtDirCMP L2 bank controller.
+// NewL2 builds an L2 bank controller: FtDirCMP when ft is set, DirCMP
+// otherwise.
 func NewL2(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.Engine,
-	net proto.Sender, run *stats.Run) (*L2, error) {
+	net proto.Sender, run *stats.Run, ft bool) (*L2, error) {
 	arr, err := cache.NewArray(params.L2Size, params.L2Ways, params.LineSize)
 	if err != nil {
 		return nil, err
 	}
 	l := &L2{
+		ft:     ft,
 		id:     id,
 		topo:   topo,
 		params: params,
@@ -236,8 +276,12 @@ func NewL2(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.
 		trans:  cache.NewTableReset[l2Trans](0, resetL2Trans),
 		ext:    cache.NewTableReset[extBlock](0, resetExtBlock),
 		mig:    make(map[msg.Addr]migInfo),
-		serial: msg.NewSerialSpace(params.SerialBits),
 		tids:   proto.NewTIDSource(id),
+		names:  &baseL2Names,
+	}
+	if ft {
+		l.serial = msg.NewSerialSpace(params.SerialBits)
+		l.names = &ftL2Names
 	}
 	l.victimFilter = func(c *cache.Line) bool {
 		return l.trans.Get(c.Addr) == nil && l.ext.Get(c.Addr) == nil
@@ -253,6 +297,22 @@ func (l *L2) SetObserver(o *obs.Recorder) { l.obs = o }
 
 // SetDomains attaches the structural-fault domain tracker.
 func (l *L2) SetDomains(d *proto.Domains) { l.domains = d }
+
+// nextSN draws a request serial number (§3.5); DirCMP leaves them zero.
+func (l *L2) nextSN() msg.SerialNumber {
+	if !l.ft {
+		return 0
+	}
+	return l.serial.Next()
+}
+
+// startTimer arms one of the Table-3 timeouts; DirCMP runs none.
+func (l *L2) startTimer(t *sim.Timer, delay uint64, fire func(any), arg any) {
+	if l.ft {
+		t.Bind(l.engine)
+		t.StartCall(delay, fire, arg)
+	}
+}
 
 // Halt permanently silences this bank (its tile died): all timers stop and
 // every future message or callback is ignored.
@@ -330,10 +390,13 @@ func (l *L2) Handle(m *msg.Message) {
 }
 
 // handleRequest starts, queues, or recognizes as reissued an L1 request.
-// Reissue detection (§3.2): same requester and address with a different
-// serial number means the previous attempt's response may be lost, so the
-// current response is re-sent with the new serial number instead of
-// queueing the request behind itself.
+// Reissue detection (§3.2, FtDirCMP only): same requester and address with
+// a different serial number means the previous attempt's response may be
+// lost, so the current response is re-sent with the new serial number
+// instead of queueing the request behind itself. DirCMP has no serial
+// numbers and no reissues: a same-requester request there is a new one
+// that overtook the requester's Unblock (they travel in different virtual
+// channels), and it queues like any other.
 func (l *L2) handleRequest(m *msg.Message) {
 	req := pendingReq{typ: m.Type, from: m.Src, tid: m.TID, sn: m.SN}
 	t := l.trans.Get(m.Addr)
@@ -345,18 +408,12 @@ func (l *L2) handleRequest(m *msg.Message) {
 		l.service(m.Addr, t)
 		return
 	}
-	if t.req.from == m.Src && t.req.typ == m.Type {
-		if t.req.sn == m.SN {
-			return // duplicate delivery of the same attempt
-		}
-		t.req.sn = m.SN
-		l.resendResponse(m.Addr, t)
-		return
-	}
-	// Reissue of a queued request updates its serial number in place.
-	for i := range t.queue {
-		if t.queue[i].from == m.Src && t.queue[i].typ == m.Type {
-			t.queue[i].sn = m.SN
+	if l.ft {
+		switch reissue(&t.req, t.queue, m) {
+		case reqResend:
+			l.resendResponse(m.Addr, t)
+			return
+		case reqAbsorbed:
 			return
 		}
 	}
@@ -385,17 +442,15 @@ func (l *L2) service(addr msg.Addr, t *l2Trans) {
 		if line.State == L2StateS {
 			if line.Sharers.Empty() {
 				t.respKind = respDataEx
-				t.sentDataExTo = r.from
 				t.ackCount = 0
 				l.send(&msg.Message{
 					Type: msg.DataEx, Dst: r.from, Addr: addr, TID: r.tid, SN: r.sn,
 					Payload: line.Payload, Dirty: line.Dirty,
 				})
 				l.obs.StateChange("l2", l.id, addr, r.tid, "S", "M")
-				l.obs.BackupCreated("l2", l.id, addr, r.tid, r.from)
+				l.keepBackup(addr, t, r.from)
 				line.State = L2StateM
 				line.Owner = r.from
-				l.armBackup(addr, t)
 			} else {
 				t.respKind = respData
 				l.send(&msg.Message{
@@ -449,16 +504,14 @@ func (l *L2) service(addr msg.Addr, t *l2Trans) {
 		l.sendInvs(addr, t)
 		if line.State == L2StateS {
 			t.respKind = respDataEx
-			t.sentDataExTo = r.from
 			l.send(&msg.Message{
 				Type: msg.DataEx, Dst: r.from, Addr: addr, TID: r.tid, SN: r.sn,
 				Payload: line.Payload, Dirty: line.Dirty, AckCount: t.ackCount,
 			})
 			l.obs.StateChange("l2", l.id, addr, r.tid, "S", "M")
-			l.obs.BackupCreated("l2", l.id, addr, r.tid, r.from)
+			l.keepBackup(addr, t, r.from)
 			line.State = L2StateM
 			line.Owner = r.from
-			l.armBackup(addr, t)
 		} else if line.Owner == r.from {
 			t.respKind = respNoPayload
 			l.send(&msg.Message{
@@ -551,12 +604,11 @@ func (l *L2) resendResponse(addr msg.Addr, t *l2Trans) {
 // enterWaitUnblock arms the lost-unblock timeout (§3.3).
 func (l *L2) enterWaitUnblock(addr msg.Addr, t *l2Trans) {
 	t.phase = phaseWaitUnblock
-	t.unblockTimer.Bind(l.engine)
 	l.armUnblockTimer(addr, t)
 }
 
 func (l *L2) armUnblockTimer(addr msg.Addr, t *l2Trans) {
-	t.unblockTimer.StartCall(l.params.LostUnblockTimeout, l2UnblockFired, t)
+	l.startTimer(&t.unblockTimer, l.params.LostUnblockTimeout, l2UnblockFired, t)
 }
 
 func l2UnblockFired(arg any) {
@@ -580,12 +632,11 @@ func l2UnblockFired(arg any) {
 // enterWaitWbData arms the writeback flavour of the lost-unblock timeout.
 func (l *L2) enterWaitWbData(addr msg.Addr, t *l2Trans) {
 	t.phase = phaseWaitWbData
-	t.unblockTimer.Bind(l.engine)
 	l.armWbPingTimer(addr, t)
 }
 
 func (l *L2) armWbPingTimer(addr msg.Addr, t *l2Trans) {
-	t.unblockTimer.StartCall(l.params.LostUnblockTimeout, l2WbPingFired, t)
+	l.startTimer(&t.unblockTimer, l.params.LostUnblockTimeout, l2WbPingFired, t)
 }
 
 func l2WbPingFired(arg any) {
@@ -604,10 +655,22 @@ func l2WbPingFired(arg any) {
 	l.armWbPingTimer(addr, t)
 }
 
+// keepBackup records the DataEx just sent from the bank's own copy to dst.
+// In FtDirCMP that copy becomes the in-chip backup until dst's AckO
+// (§3.1); DirCMP hands the line over outright.
+func (l *L2) keepBackup(addr msg.Addr, t *l2Trans, dst msg.NodeID) {
+	t.sentDataExTo = dst
+	if !l.ft {
+		t.backupCleared = true
+		return
+	}
+	l.obs.BackupCreated("l2", l.id, addr, t.tid, dst)
+	l.armBackup(addr, t)
+}
+
 // armBackup guards the in-chip backup held after sending DataEx to an L1.
 func (l *L2) armBackup(addr msg.Addr, t *l2Trans) {
-	t.backupTimer.Bind(l.engine)
-	t.backupTimer.StartCall(l.params.BackupTimeout, l2BackupFired, t)
+	l.startTimer(&t.backupTimer, l.params.BackupTimeout, l2BackupFired, t)
 }
 
 func l2BackupFired(arg any) {
@@ -622,7 +685,7 @@ func l2BackupFired(arg any) {
 	}
 	l.run.Proto.BackupTimeouts++
 	l.obs.TimeoutFired("l2", l.id, addr, t.tid, obs.TimeoutBackup)
-	l.send(&msg.Message{Type: msg.OwnershipPing, Dst: t.sentDataExTo, Addr: addr, TID: t.tid, SN: l.serial.Next()})
+	l.send(&msg.Message{Type: msg.OwnershipPing, Dst: t.sentDataExTo, Addr: addr, TID: t.tid, SN: l.nextSN()})
 	l.armBackup(addr, t)
 }
 
@@ -696,13 +759,12 @@ func (l *L2) sendMemUnblock(addr msg.Addr, tid msg.TID, sn msg.SerialNumber) {
 	eb.addr = addr
 	eb.tid = tid
 	eb.sn = sn
-	eb.timer.Bind(l.engine)
 	l.armExtAckBD(addr, eb)
 }
 
 // armExtAckBD resends the AckO to memory if its AckBD never arrives.
 func (l *L2) armExtAckBD(addr msg.Addr, eb *extBlock) {
-	eb.timer.StartCall(l.params.LostAckBDTimeout, extAckBDFired, eb)
+	l.startTimer(&eb.timer, l.params.LostAckBDTimeout, extAckBDFired, eb)
 }
 
 func extAckBDFired(arg any) {
@@ -714,7 +776,7 @@ func extAckBDFired(arg any) {
 	l.run.Proto.LostAckBDTimeouts++
 	l.obs.TimeoutFired("l2", l.id, addr, eb.tid, obs.TimeoutLostAckBD)
 	oldSN := eb.sn
-	eb.sn = l.serial.Next()
+	eb.sn = l.nextSN()
 	l.obs.Reissue("l2", l.id, addr, eb.tid, msg.AckO, oldSN, eb.sn)
 	l.run.Proto.AcksOSent++
 	l.send(&msg.Message{Type: msg.AckO, Dst: l.topo.HomeMem(addr), Addr: addr, TID: eb.tid, SN: eb.sn})
@@ -722,8 +784,8 @@ func extAckBDFired(arg any) {
 }
 
 // handleWbData absorbs a writeback's data: ownership moved from the L1 to
-// this bank, so acknowledge it and hold the transaction open until the
-// L1's backup is deleted (AckBD).
+// this bank, so (in FtDirCMP) acknowledge it and hold the transaction open
+// until the L1's backup is deleted (AckBD).
 func (l *L2) handleWbData(m *msg.Message) {
 	t := l.trans.Get(m.Addr)
 	if t == nil || t.phase != phaseWaitWbData || m.Src != t.req.from {
@@ -747,20 +809,36 @@ func (l *L2) handleWbData(m *msg.Message) {
 }
 
 // sendAckO acknowledges received ownership and waits for the AckBD;
-// afterAckBD (may be nil) runs before the transaction closes.
+// afterAckBD (may be nil) runs before the transaction closes. DirCMP keeps
+// no backups, so there the transfer is already complete.
 func (l *L2) sendAckO(addr msg.Addr, t *l2Trans, to msg.NodeID, sn msg.SerialNumber, afterAckBD func()) {
 	t.ackOTo = to
 	t.ackOSN = sn
 	t.afterAckBD = afterAckBD
+	if !l.ft {
+		l.backupDeleted(addr, t)
+		return
+	}
 	t.phase = phaseWaitAckBD
 	l.run.Proto.AcksOSent++
 	l.send(&msg.Message{Type: msg.AckO, Dst: to, Addr: addr, TID: t.tid, SN: sn})
-	t.ackBDTimer.Bind(l.engine)
 	l.armAckBDTimer(addr, t)
 }
 
+// backupDeleted continues a transaction once the sender of the owned data
+// it received no longer holds a backup.
+func (l *L2) backupDeleted(addr msg.Addr, t *l2Trans) {
+	after := t.afterAckBD
+	t.afterAckBD = nil
+	if after != nil {
+		after()
+		return
+	}
+	l.finish(addr, t)
+}
+
 func (l *L2) armAckBDTimer(addr msg.Addr, t *l2Trans) {
-	t.ackBDTimer.StartCall(l.params.LostAckBDTimeout, l2AckBDFired, t)
+	l.startTimer(&t.ackBDTimer, l.params.LostAckBDTimeout, l2AckBDFired, t)
 }
 
 func l2AckBDFired(arg any) {
@@ -776,7 +854,7 @@ func l2AckBDFired(arg any) {
 	l.run.Proto.LostAckBDTimeouts++
 	l.obs.TimeoutFired("l2", l.id, addr, t.tid, obs.TimeoutLostAckBD)
 	oldSN := t.ackOSN
-	t.ackOSN = l.serial.Next()
+	t.ackOSN = l.nextSN()
 	l.obs.Reissue("l2", l.id, addr, t.tid, msg.AckO, oldSN, t.ackOSN)
 	l.run.Proto.AcksOSent++
 	l.send(&msg.Message{Type: msg.AckO, Dst: t.ackOTo, Addr: addr, TID: t.tid, SN: t.ackOSN})
@@ -810,12 +888,16 @@ func (l *L2) handleData(m *msg.Message) {
 			return
 		}
 		t.memTimer.Stop()
-		l.run.Proto.L2Misses++
+		if l.ft {
+			// The UnblockEx+AckO to memory is deferred until the
+			// requesting L1's own AckO arrives (§3.1.1).
+			t.owedMem = true
+		} else {
+			// DirCMP releases memory at once; installing may wait.
+			l.send(&msg.Message{Type: msg.UnblockEx, Dst: m.Src, Addr: m.Addr, TID: t.tid})
+		}
 		t.fetched = m.Payload
 		t.fetchedDirty = m.Dirty
-		// The UnblockEx+AckO to memory is deferred until the requesting
-		// L1's own AckO arrives (§3.1.1); remember the serial number.
-		t.owedMem = true
 		l.install(m.Addr, t)
 	case phaseWaitRecall:
 		if m.SN != t.recallSN {
@@ -843,7 +925,8 @@ func (l *L2) handleRecallAck(m *msg.Message) {
 }
 
 // tryFinishRecall proceeds once all L1 copies are collected: acknowledge
-// the recalled owner's backup (if data moved) and then write back.
+// the recalled owner's backup (if data moved, FtDirCMP) and then write
+// back.
 func (l *L2) tryFinishRecall(addr msg.Addr, t *l2Trans) {
 	if t.pendingAcks > 0 || (t.needData && !t.gotData) {
 		return
@@ -885,7 +968,7 @@ func (l *L2) evictToMem(addr msg.Addr, t *l2Trans, line *cache.Line) {
 		l.obs.StateChange("l2", l.id, addr, t.tid, l2StateName(line.State), "I")
 	}
 	t.phase = phaseWaitMemWbAck
-	t.memSN = l.serial.Next()
+	t.memSN = l.nextSN()
 	l.send(&msg.Message{Type: msg.Put, Dst: l.topo.HomeMem(addr), Addr: addr, TID: t.tid, SN: t.memSN})
 	l.armMemTimer(addr, t, msg.Put)
 }
@@ -895,8 +978,7 @@ func (l *L2) evictToMem(addr msg.Addr, t *l2Trans, line *cache.Line) {
 // so it runs its own lost-request timeout (§3.5).
 func (l *L2) armMemTimer(addr msg.Addr, t *l2Trans, typ msg.Type) {
 	t.memTyp = typ
-	t.memTimer.Bind(l.engine)
-	t.memTimer.StartCall(sim.Backoff(l.params.LostRequestTimeout, t.memAttempts), l2MemTimerFired, t)
+	l.startTimer(&t.memTimer, sim.Backoff(l.params.LostRequestTimeout, t.memAttempts), l2MemTimerFired, t)
 }
 
 func l2MemTimerFired(arg any) {
@@ -916,15 +998,15 @@ func l2MemTimerFired(arg any) {
 	l.obs.TimeoutFired("l2", l.id, addr, t.tid, obs.TimeoutLostRequest)
 	t.memAttempts++
 	oldSN := t.memSN
-	t.memSN = l.serial.Next()
+	t.memSN = l.nextSN()
 	l.obs.Reissue("l2", l.id, addr, t.tid, typ, oldSN, t.memSN)
 	l.send(&msg.Message{Type: typ, Dst: l.topo.HomeMem(addr), Addr: addr, TID: t.tid, SN: t.memSN})
 	l.armMemTimer(addr, t, typ)
 }
 
 // handleMemWbAck sends the eviction's data to memory (or WbNoData when the
-// line was clean). Sending WbData makes this bank the backup until
-// memory's AckO.
+// line was clean). In FtDirCMP sending WbData makes this bank the backup
+// until memory's AckO; in DirCMP it ends the writeback.
 func (l *L2) handleMemWbAck(m *msg.Message) {
 	t := l.trans.Get(m.Addr)
 	if t == nil || t.phase != phaseWaitMemWbAck || m.SN != t.memSN {
@@ -933,24 +1015,27 @@ func (l *L2) handleMemWbAck(m *msg.Message) {
 	}
 	t.memTimer.Stop()
 	if m.WantData && t.wbDirty {
-		t.phase = phaseWaitMemAckO
-		l.obs.BackupCreated("l2", l.id, m.Addr, t.tid, m.Src)
+		if l.ft {
+			t.phase = phaseWaitMemAckO
+			l.obs.BackupCreated("l2", l.id, m.Addr, t.tid, m.Src)
+		}
 		l.send(&msg.Message{
 			Type: msg.WbData, Dst: m.Src, Addr: m.Addr, TID: t.tid, SN: m.SN,
 			Payload: t.wbPayload, Dirty: true,
 		})
-		l.armMemBackup(m.Addr, t)
-		return
+		if l.ft {
+			l.armMemBackup(m.Addr, t)
+			return
+		}
+	} else {
+		l.send(&msg.Message{Type: msg.WbNoData, Dst: m.Src, Addr: m.Addr, TID: t.tid, SN: m.SN})
 	}
-	l.send(&msg.Message{Type: msg.WbNoData, Dst: m.Src, Addr: m.Addr, TID: t.tid, SN: m.SN})
-	t.wbValid = false
 	l.finish(m.Addr, t)
 }
 
 // armMemBackup pings memory if the AckO for our WbData never arrives.
 func (l *L2) armMemBackup(addr msg.Addr, t *l2Trans) {
-	t.backupTimer.Bind(l.engine)
-	t.backupTimer.StartCall(l.params.BackupTimeout, l2MemBackupFired, t)
+	l.startTimer(&t.backupTimer, l.params.BackupTimeout, l2MemBackupFired, t)
 }
 
 func l2MemBackupFired(arg any) {
@@ -961,7 +1046,7 @@ func l2MemBackupFired(arg any) {
 	}
 	l.run.Proto.BackupTimeouts++
 	l.obs.TimeoutFired("l2", l.id, addr, t.tid, obs.TimeoutBackup)
-	l.send(&msg.Message{Type: msg.OwnershipPing, Dst: l.topo.HomeMem(addr), Addr: addr, TID: t.tid, SN: l.serial.Next()})
+	l.send(&msg.Message{Type: msg.OwnershipPing, Dst: l.topo.HomeMem(addr), Addr: addr, TID: t.tid, SN: l.nextSN()})
 	l.armMemBackup(addr, t)
 }
 
@@ -1024,13 +1109,7 @@ func (l *L2) handleAckBD(m *msg.Message) {
 		return
 	}
 	t.ackBDTimer.Stop()
-	after := t.afterAckBD
-	t.afterAckBD = nil
-	if after != nil {
-		after()
-		return
-	}
-	l.finish(m.Addr, t)
+	l.backupDeleted(m.Addr, t)
 }
 
 // handleUnblockPing answers memory's query about our pending unblock.
@@ -1144,8 +1223,9 @@ func (l *L2) handleNackO(m *msg.Message) {
 // startFetch requests the line from memory with ownership, guarded by the
 // L2's own lost-request timeout.
 func (l *L2) startFetch(addr msg.Addr, t *l2Trans) {
+	l.run.Proto.L2Misses++
 	t.phase = phaseWaitMemData
-	t.memSN = l.serial.Next()
+	t.memSN = l.nextSN()
 	l.send(&msg.Message{Type: msg.GetX, Dst: l.topo.HomeMem(addr), Addr: addr, TID: t.tid, SN: t.memSN})
 	l.armMemTimer(addr, t, msg.GetX)
 }
@@ -1194,7 +1274,7 @@ func (l *L2) startEvict(line *cache.Line, onDone func()) {
 	if line.State == L2StateM || !line.Sharers.Empty() {
 		l.run.Proto.L2Recalls++
 		t.needData = line.State == L2StateM
-		t.recallSN = l.serial.Next()
+		t.recallSN = l.nextSN()
 		l.sendRecall(line.Addr, t, line)
 		return
 	}
@@ -1221,13 +1301,12 @@ func (l *L2) sendRecall(addr msg.Addr, t *l2Trans, line *cache.Line) {
 			Forwarded: true, Requestor: l.id,
 		})
 	}
-	t.recallTimer.Bind(l.engine)
 	l.armRecallTimer(addr, t)
 }
 
 // armRecallTimer reissues the recall when responses are lost.
 func (l *L2) armRecallTimer(addr msg.Addr, t *l2Trans) {
-	t.recallTimer.StartCall(sim.Backoff(l.params.LostRequestTimeout, t.recallAttempts), l2RecallFired, t)
+	l.startTimer(&t.recallTimer, sim.Backoff(l.params.LostRequestTimeout, t.recallAttempts), l2RecallFired, t)
 }
 
 func l2RecallFired(arg any) {
@@ -1245,7 +1324,7 @@ func l2RecallFired(arg any) {
 	l.obs.TimeoutFired("l2", l.id, addr, t.tid, obs.TimeoutLostRequest)
 	t.recallAttempts++
 	oldSN := t.recallSN
-	t.recallSN = l.serial.Next()
+	t.recallSN = l.nextSN()
 	l.obs.Reissue("l2", l.id, addr, t.tid, msg.GetX, oldSN, t.recallSN)
 	line := l.array.Lookup(addr)
 	if line == nil {
@@ -1283,8 +1362,7 @@ func (l *L2) finish(addr msg.Addr, t *l2Trans) {
 	l.service(addr, t)
 }
 
-// Migratory detector (identical to DirCMP's). The map holds migInfo by
-// value — the records are three words and never referenced across calls, so
+// Migratory detector. The map holds migInfo by value — the records are three words and never referenced across calls, so
 // a pointer map would only add an allocation per tracked address.
 
 func (l *L2) migratory(addr msg.Addr) bool {
@@ -1341,46 +1419,31 @@ func phaseName(p int) string {
 	}
 }
 
-// Interned "<state>+<phase>" names for InspectLines: the checker inspects
-// every line of every agent per run, so building these by concatenation
-// would allocate per line.
-var (
-	l2StatePhase [3][8]string
-	l2StateExt   [3]string
-	l2WbPhase    [8]string
-)
+// l2Names are the interned diagnostic state names InspectLines reports: the
+// checker inspects every line of every agent per run, so building them by
+// concatenation would allocate per line. Each protocol has its own table,
+// picked at construction: FtDirCMP names the transaction phase, DirCMP only
+// marks a busy line.
+type l2Names struct {
+	statePhase [3][8]string // [line state][phase]: "<state>+<phase>"
+	stateExt   [3]string    // externally blocked: "<state>+extblock"
+	wb         [8]string    // parked eviction writeback, by phase
+}
+
+var ftL2Names, baseL2Names l2Names
 
 func init() {
-	for s := range l2StatePhase {
-		l2StateExt[s] = l2StateName(s) + "+extblock"
-		for p := range l2StatePhase[s] {
-			l2StatePhase[s][p] = l2StateName(s) + "+" + phaseName(p)
+	for s := range ftL2Names.statePhase {
+		ftL2Names.stateExt[s] = l2StateName(s) + "+extblock"
+		for p := range ftL2Names.statePhase[s] {
+			ftL2Names.statePhase[s][p] = l2StateName(s) + "+" + phaseName(p)
+			baseL2Names.statePhase[s][p] = l2StateName(s) + "+txn"
 		}
 	}
-	for p := range l2WbPhase {
-		l2WbPhase[p] = "WB+" + phaseName(p)
+	for p := range ftL2Names.wb {
+		ftL2Names.wb[p] = "WB+" + phaseName(p)
+		baseL2Names.wb[p] = "WB"
 	}
-}
-
-func l2StatePhaseName(s, p int) string {
-	if s >= 0 && s < len(l2StatePhase) && p >= 0 && p < len(l2StatePhase[s]) {
-		return l2StatePhase[s][p]
-	}
-	return l2StateName(s) + "+" + phaseName(p)
-}
-
-func l2StateExtName(s int) string {
-	if s >= 0 && s < len(l2StateExt) {
-		return l2StateExt[s]
-	}
-	return l2StateName(s) + "+extblock"
-}
-
-func l2WbPhaseName(p int) string {
-	if p >= 0 && p < len(l2WbPhase) {
-		return l2WbPhase[p]
-	}
-	return "WB+" + phaseName(p)
 }
 
 // viewSN picks the serial number that best identifies the transaction for
@@ -1404,10 +1467,10 @@ func (l *L2) InspectLines(fn func(proto.LineView)) {
 		state := l2StateName(c.State)
 		var sn msg.SerialNumber
 		if t != nil {
-			state = l2StatePhaseName(c.State, t.phase)
+			state = l.names.statePhase[c.State][t.phase]
 			sn = t.viewSN()
 		} else if e := l.ext.Get(c.Addr); e != nil {
-			state = l2StateExtName(c.State)
+			state = l.names.stateExt[c.State]
 			sn = e.sn
 		}
 		fn(proto.LineView{
@@ -1428,7 +1491,7 @@ func (l *L2) InspectLines(fn func(proto.LineView)) {
 				Backup:    t.phase == phaseWaitMemAckO,
 				Transient: true,
 				Payload:   t.wbPayload,
-				State:     l2WbPhaseName(t.phase),
+				State:     l.names.wb[t.phase],
 				SN:        t.viewSN(),
 			})
 		}

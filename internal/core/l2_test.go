@@ -1,8 +1,9 @@
 package core
 
-// White-box tests for the FtDirCMP L2 bank: reissue re-answering, the
-// WbData ownership handshake, the deferred memory unblock chain (§3.1.1)
-// and the external-block discipline.
+// White-box tests for the L2 bank: reissue re-answering, the WbData
+// ownership handshake, the deferred memory unblock chain (§3.1.1) and the
+// external-block discipline of FtDirCMP, and the same exchanges without
+// them in DirCMP.
 
 import (
 	"testing"
@@ -13,14 +14,20 @@ import (
 	"repro/internal/stats"
 )
 
-// testL2 builds an isolated L2 bank (tile 0) with a fake network.
+// testL2 builds an isolated FtDirCMP L2 bank (tile 0) with a fake network.
 func testL2(t *testing.T) (*L2, *fakeNet, *sim.Engine, proto.Topology) {
+	t.Helper()
+	return newTestL2(t, true)
+}
+
+// newTestL2 builds an isolated L2 bank (FtDirCMP when ft, else DirCMP).
+func newTestL2(t *testing.T, ft bool) (*L2, *fakeNet, *sim.Engine, proto.Topology) {
 	t.Helper()
 	topo := proto.Topology{Tiles: 4, Mems: 2, LineSize: 64}
 	engine := sim.NewEngine()
 	net := &fakeNet{}
-	run := stats.NewRun("FtDirCMP", "unit")
-	l2, err := NewL2(topo.L2(0), topo, testParams(), engine, net, run)
+	run := stats.NewRun(protoName(ft), "unit")
+	l2, err := NewL2(topo.L2(0), topo, testParams(), engine, net, run, ft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +44,22 @@ func addrForBank(topo proto.Topology) msg.Addr {
 	}
 }
 
+// testSN is the serial number an L1 request carries in the given protocol:
+// DirCMP has none.
+func testSN(ft bool, sn msg.SerialNumber) msg.SerialNumber {
+	if ft {
+		return sn
+	}
+	return 0
+}
+
 // fetchLine walks the L2 through a memory fetch so the line is installed,
 // granted to l1 and fully unblocked. Returns the address.
 func fetchLine(t *testing.T, l *L2, net *fakeNet, topo proto.Topology, l1 msg.NodeID) msg.Addr {
 	t.Helper()
 	addr := addrForBank(topo)
-	l.Handle(&msg.Message{Type: msg.GetX, Src: l1, Dst: l.id, Addr: addr, SN: 10})
+	sn := testSN(l.ft, 10)
+	l.Handle(&msg.Message{Type: msg.GetX, Src: l1, Dst: l.id, Addr: addr, SN: sn})
 	fetch := net.lastOfType(msg.GetX)
 	if fetch == nil || fetch.Dst != topo.Mem(0) {
 		t.Fatalf("no fetch to memory: %v", net.sent)
@@ -53,8 +70,22 @@ func fetchLine(t *testing.T, l *L2, net *fakeNet, topo proto.Topology, l1 msg.No
 		Payload: msg.Payload{Value: 5, Version: 2},
 	})
 	grant := net.lastOfType(msg.DataEx)
-	if grant == nil || grant.Dst != l1 || grant.SN != 10 {
+	if grant == nil || grant.Dst != l1 || grant.SN != sn {
 		t.Fatalf("no immediate grant to the L1 (§3.1.1): %v", net.sent)
+	}
+	if !l.ft {
+		// DirCMP releases memory as soon as the data arrives, and the
+		// L1's unblock closes the transaction.
+		memUn := net.lastOfType(msg.UnblockEx)
+		if memUn == nil || memUn.Dst != topo.Mem(0) || memUn.PiggybackAckO || memUn.SN != 0 {
+			t.Fatalf("no immediate UnblockEx to memory: %v", net.sent)
+		}
+		net.take()
+		l.Handle(&msg.Message{Type: msg.UnblockEx, Src: l1, Dst: l.id, Addr: addr})
+		if len(net.take()) != 0 {
+			t.Fatal("DirCMP answered the L1's unblock")
+		}
+		return addr
 	}
 	net.take()
 	// The L1 unblocks with the piggybacked AckO.
@@ -78,16 +109,63 @@ func fetchLine(t *testing.T, l *L2, net *fakeNet, topo proto.Topology, l1 msg.No
 	return addr
 }
 
+// forBothProtocols runs f as a DirCMP and an FtDirCMP subtest.
+func forBothProtocols(t *testing.T, f func(t *testing.T, ft bool)) {
+	for _, ft := range []bool{false, true} {
+		t.Run(protoName(ft), func(t *testing.T) { f(t, ft) })
+	}
+}
+
 func TestL2FetchChainAndExternalBlock(t *testing.T) {
-	l, net, _, topo := testL2(t)
-	addr := fetchLine(t, l, net, topo, topo.L1(1))
-	if !l.Quiesced() {
-		t.Fatal("L2 not quiescent after the full chain")
-	}
-	line := l.array.Lookup(addr)
-	if line == nil || line.State != L2StateM || line.Owner != topo.L1(1) {
-		t.Fatalf("directory state wrong after grant: %+v", line)
-	}
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		l, net, _, topo := newTestL2(t, ft)
+		addr := fetchLine(t, l, net, topo, topo.L1(1))
+		if !l.Quiesced() {
+			t.Fatal("L2 not quiescent after the full chain")
+		}
+		line := l.array.Lookup(addr)
+		if line == nil || line.State != L2StateM || line.Owner != topo.L1(1) {
+			t.Fatalf("directory state wrong after grant: %+v", line)
+		}
+	})
+}
+
+// TestL2QueuesSameRequesterRequest pins the difference in how the two
+// protocols treat a request from the requester already in service. In
+// DirCMP it is a new request that overtook the requester's unblock (the
+// two travel in different virtual channels), so it must queue and be
+// served once the unblock closes the transaction. In FtDirCMP the same
+// serial number marks a duplicate of the in-service attempt, dropped.
+func TestL2QueuesSameRequesterRequest(t *testing.T) {
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		l, net, _, topo := newTestL2(t, ft)
+		addr := addrForBank(topo)
+		a := topo.L1(1)
+		sn := testSN(ft, 10)
+		l.Handle(&msg.Message{Type: msg.GetX, Src: a, Dst: l.id, Addr: addr, SN: sn})
+		fetch := net.lastOfType(msg.GetX)
+		l.Handle(&msg.Message{Type: msg.GetX, Src: a, Dst: l.id, Addr: addr, SN: sn})
+		l.Handle(&msg.Message{
+			Type: msg.DataEx, Src: topo.Mem(0), Dst: l.id, Addr: addr, SN: fetch.SN,
+			Payload: msg.Payload{Value: 5, Version: 2},
+		})
+		net.take()
+		l.Handle(&msg.Message{Type: msg.UnblockEx, Src: a, Dst: l.id, Addr: addr, SN: sn, PiggybackAckO: ft})
+		upgrade := net.lastOfType(msg.DataEx)
+		if ft {
+			if upgrade != nil {
+				t.Fatalf("duplicate request answered again: %v", net.sent)
+			}
+			return
+		}
+		if upgrade == nil || upgrade.Dst != a || !upgrade.NoPayload {
+			t.Fatalf("queued request not served after the unblock: %v", net.sent)
+		}
+		l.Handle(&msg.Message{Type: msg.UnblockEx, Src: a, Dst: l.id, Addr: addr})
+		if !l.Quiesced() {
+			t.Fatal("L2 not quiescent after serving both requests")
+		}
+	})
 }
 
 func TestL2ReissueResendsWbAck(t *testing.T) {
@@ -109,27 +187,40 @@ func TestL2ReissueResendsWbAck(t *testing.T) {
 }
 
 func TestL2WbDataTriggersAckOHandshake(t *testing.T) {
-	l, net, _, topo := testL2(t)
-	addr := fetchLine(t, l, net, topo, topo.L1(1))
-	l.Handle(&msg.Message{Type: msg.Put, Src: topo.L1(1), Dst: l.id, Addr: addr, SN: 20})
-	net.take()
-	l.Handle(&msg.Message{
-		Type: msg.WbData, Src: topo.L1(1), Dst: l.id, Addr: addr, SN: 20,
-		Payload: msg.Payload{Value: 9, Version: 3}, Dirty: true,
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		l, net, _, topo := newTestL2(t, ft)
+		addr := fetchLine(t, l, net, topo, topo.L1(1))
+		sn := testSN(ft, 20)
+		l.Handle(&msg.Message{Type: msg.Put, Src: topo.L1(1), Dst: l.id, Addr: addr, SN: sn})
+		if wa := net.lastOfType(msg.WbAck); wa == nil || !wa.WantData {
+			t.Fatalf("no WbAck(WantData): %v", net.sent)
+		}
+		net.take()
+		l.Handle(&msg.Message{
+			Type: msg.WbData, Src: topo.L1(1), Dst: l.id, Addr: addr, SN: sn,
+			Payload: msg.Payload{Value: 9, Version: 3}, Dirty: true,
+		})
+		acko := net.lastOfType(msg.AckO)
+		if !ft {
+			// DirCMP: the writeback is complete; the L2 owns the data.
+			if acko != nil || !l.Quiesced() {
+				t.Fatalf("DirCMP writeback not closed by its data: %v", net.sent)
+			}
+			return
+		}
+		if acko == nil || acko.Dst != topo.L1(1) || acko.SN != 20 {
+			t.Fatalf("no AckO for the received ownership: %v", net.sent)
+		}
+		// The transaction stays open until the AckBD; a queued request waits.
+		l.Handle(&msg.Message{Type: msg.GetS, Src: topo.L1(2), Dst: l.id, Addr: addr, SN: 30})
+		net.take()
+		l.Handle(&msg.Message{Type: msg.AckBD, Src: topo.L1(1), Dst: l.id, Addr: addr, SN: 20})
+		// Now the queued GetS is serviced from the fresh L2 copy.
+		grant := net.lastOfType(msg.DataEx) // no sharers -> exclusive grant
+		if grant == nil || grant.Dst != topo.L1(2) || grant.Payload.Version != 3 {
+			t.Fatalf("queued request not serviced after AckBD: %v", net.sent)
+		}
 	})
-	acko := net.lastOfType(msg.AckO)
-	if acko == nil || acko.Dst != topo.L1(1) || acko.SN != 20 {
-		t.Fatalf("no AckO for the received ownership: %v", net.sent)
-	}
-	// The transaction stays open until the AckBD; a queued request waits.
-	l.Handle(&msg.Message{Type: msg.GetS, Src: topo.L1(2), Dst: l.id, Addr: addr, SN: 30})
-	net.take()
-	l.Handle(&msg.Message{Type: msg.AckBD, Src: topo.L1(1), Dst: l.id, Addr: addr, SN: 20})
-	// Now the queued GetS is serviced from the fresh L2 copy.
-	grant := net.lastOfType(msg.DataEx) // no sharers -> exclusive grant
-	if grant == nil || grant.Dst != topo.L1(2) || grant.Payload.Version != 3 {
-		t.Fatalf("queued request not serviced after AckBD: %v", net.sent)
-	}
 }
 
 func TestL2ReissueResendsDataExWithInvalidations(t *testing.T) {

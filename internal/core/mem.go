@@ -41,28 +41,23 @@ func memPhaseName(p int) string {
 	}
 }
 
-// Interned "chip|mem+<phase>" names for InspectLines: the checker inspects
-// every line per run, so building these by concatenation would allocate.
-var memChipPhase, memMemPhase [4]string
-
-func init() {
-	for p := range memChipPhase {
-		memChipPhase[p] = "chip+" + memPhaseName(p)
-		memMemPhase[p] = "mem+" + memPhaseName(p)
-	}
+// memNames are the interned "chip|mem+<phase>" names InspectLines reports
+// for busy lines, by phase: the checker inspects every line per run, so
+// building them by concatenation would allocate. DirCMP's table only marks
+// a busy line.
+type memNames struct {
+	chip, mem [4]string
 }
 
-func memStatePhaseName(owned bool, p int) string {
-	if p < 0 || p >= len(memChipPhase) {
-		if owned {
-			return "chip+" + memPhaseName(p)
-		}
-		return "mem+" + memPhaseName(p)
+var ftMemNames, baseMemNames memNames
+
+func init() {
+	for p := range ftMemNames.chip {
+		ftMemNames.chip[p] = "chip+" + memPhaseName(p)
+		ftMemNames.mem[p] = "mem+" + memPhaseName(p)
+		baseMemNames.chip[p] = "chip+txn"
+		baseMemNames.mem[p] = "mem+txn"
 	}
-	if owned {
-		return memChipPhase[p]
-	}
-	return memMemPhase[p]
 }
 
 // memTrans is a per-line memory transaction.
@@ -96,11 +91,14 @@ func resetMemTrans(t *memTrans) {
 	*t = memTrans{queue: t.queue[:0], pingTimer: t.pingTimer, ackBDTimer: t.ackBDTimer}
 }
 
-// Mem is an FtDirCMP memory controller: the same directory role as the
-// DirCMP one, plus reissue detection, the lost-unblock timeout toward the
-// L2, and the ownership-acknowledgment handshake on both transfer
-// directions.
+// Mem is a memory controller. It serializes transactions per line and
+// tracks which lines the on-chip L2 currently owns, so that evicted lines
+// can be re-fetched and dirty data lands back in the store. FtDirCMP adds
+// reissue detection, the lost-unblock timeout toward the L2, and the
+// ownership-acknowledgment handshake on both transfer directions.
 type Mem struct {
+	// ft selects FtDirCMP; false runs the DirCMP baseline.
+	ft     bool
 	id     msg.NodeID
 	topo   proto.Topology
 	params proto.Params
@@ -111,8 +109,9 @@ type Mem struct {
 	store  *memctrl.Store
 	owned  map[msg.Addr]bool
 	trans  *cache.Table[memTrans]
-	serial *msg.SerialSpace
+	serial *msg.SerialSpace // nil in DirCMP
 	obs    *obs.Recorder
+	names  *memNames
 
 	// domains is the structural-fault failure detector (nil without
 	// structural faults). Memory controllers never die in this fault model;
@@ -126,10 +125,12 @@ type Mem struct {
 
 var _ proto.Inspectable = (*Mem)(nil)
 
-// NewMem builds an FtDirCMP memory controller over the given store.
+// NewMem builds a memory controller over the given store: FtDirCMP when
+// ft is set, DirCMP otherwise.
 func NewMem(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim.Engine,
-	net proto.Sender, run *stats.Run, store *memctrl.Store) *Mem {
+	net proto.Sender, run *stats.Run, store *memctrl.Store, ft bool) *Mem {
 	c := &Mem{
+		ft:     ft,
 		id:     id,
 		topo:   topo,
 		params: params,
@@ -139,7 +140,11 @@ func NewMem(id msg.NodeID, topo proto.Topology, params proto.Params, engine *sim
 		store:  store,
 		owned:  make(map[msg.Addr]bool),
 		trans:  cache.NewTableReset[memTrans](0, resetMemTrans),
-		serial: msg.NewSerialSpace(params.SerialBits),
+		names:  &baseMemNames,
+	}
+	if ft {
+		c.serial = msg.NewSerialSpace(params.SerialBits)
+		c.names = &ftMemNames
 	}
 	c.sendDelayed = func(arg any, _ uint64) { c.net.Send(arg.(*msg.Message)) }
 	return c
@@ -186,12 +191,13 @@ func (c *Mem) Handle(m *msg.Message) {
 	}
 }
 
-// handleRequest starts, queues or re-answers (reissue) an L2 request.
+// handleRequest starts, queues or (FtDirCMP) re-answers a reissued L2
+// request; see L2.handleRequest.
 func (c *Mem) handleRequest(m *msg.Message) {
 	req := pendingReq{typ: m.Type, from: m.Src, tid: m.TID, sn: m.SN}
 	t := c.trans.Get(m.Addr)
 	if t == nil {
-		if m.Type == msg.GetX && c.owned[m.Addr] {
+		if c.ft && m.Type == msg.GetX && c.owned[m.Addr] {
 			// A superseded fetch attempt arriving after the whole exchange
 			// completed: answer with a stale-serial response the L2 will
 			// discard, changing nothing.
@@ -209,17 +215,12 @@ func (c *Mem) handleRequest(m *msg.Message) {
 		c.service(m.Addr, t)
 		return
 	}
-	if t.req.from == m.Src && t.req.typ == m.Type {
-		if t.req.sn == m.SN {
+	if c.ft {
+		switch reissue(&t.req, t.queue, m) {
+		case reqResend:
+			c.resendResponse(m.Addr, t)
 			return
-		}
-		t.req.sn = m.SN
-		c.resendResponse(m.Addr, t)
-		return
-	}
-	for i := range t.queue {
-		if t.queue[i].from == m.Src && t.queue[i].typ == m.Type {
-			t.queue[i].sn = m.SN
+		case reqAbsorbed:
 			return
 		}
 	}
@@ -273,8 +274,7 @@ func (c *Mem) resendResponse(addr msg.Addr, t *memTrans) {
 // unblock timeout and UnblockPing in the memory controller too").
 func (c *Mem) armPing(addr msg.Addr, t *memTrans, ping msg.Type) {
 	t.pingType = ping
-	t.pingTimer.Bind(c.engine)
-	t.pingTimer.StartCall(c.params.LostUnblockTimeout, memPingFired, t)
+	c.startTimer(&t.pingTimer, c.params.LostUnblockTimeout, memPingFired, t)
 }
 
 func memPingFired(arg any) {
@@ -316,7 +316,7 @@ func (c *Mem) handleUnblock(m *msg.Message) {
 }
 
 // handleWbData stores the written-back data; ownership moved to memory, so
-// acknowledge and wait for the L2's backup deletion.
+// (in FtDirCMP) acknowledge and wait for the L2's backup deletion.
 func (c *Mem) handleWbData(m *msg.Message) {
 	t := c.trans.Get(m.Addr)
 	if t == nil || t.phase != memWaitWbData || m.Src != t.req.from {
@@ -329,6 +329,10 @@ func (c *Mem) handleWbData(m *msg.Message) {
 		c.obs.StateChange("mem", c.id, m.Addr, m.TID, "chip", "mem")
 	}
 	c.owned[m.Addr] = false
+	if !c.ft {
+		c.finish(m.Addr, t)
+		return
+	}
 	t.phase = memWaitAckBD
 	t.ackOSN = m.SN
 	c.run.Proto.AcksOSent++
@@ -337,8 +341,15 @@ func (c *Mem) handleWbData(m *msg.Message) {
 }
 
 func (c *Mem) armAckBD(addr msg.Addr, t *memTrans) {
-	t.ackBDTimer.Bind(c.engine)
-	t.ackBDTimer.StartCall(c.params.LostAckBDTimeout, memAckBDFired, t)
+	c.startTimer(&t.ackBDTimer, c.params.LostAckBDTimeout, memAckBDFired, t)
+}
+
+// startTimer arms one of the Table-3 timeouts; DirCMP runs none.
+func (c *Mem) startTimer(t *sim.Timer, delay uint64, fire func(any), arg any) {
+	if c.ft {
+		t.Bind(c.engine)
+		t.StartCall(delay, fire, arg)
+	}
 }
 
 func memAckBDFired(arg any) {
@@ -452,9 +463,11 @@ func (c *Mem) send(m *msg.Message) {
 	c.net.Send(pm)
 }
 
-// InspectLines implements proto.Inspectable. Memory owns every line the
-// chip has not claimed; while a DataEx it sent is unacknowledged, it
-// reports itself as the (off-chip) backup.
+// InspectLines implements proto.Inspectable. Memory reports a view for
+// every line it has ever interacted with (fetched by the chip or written
+// back), claiming ownership of the ones the chip does not currently hold.
+// In FtDirCMP, while a DataEx it sent is unacknowledged, it reports itself
+// as the (off-chip) backup.
 func (c *Mem) InspectLines(fn func(proto.LineView)) {
 	seen := make(map[msg.Addr]bool, len(c.owned))
 	emit := func(addr msg.Addr) {
@@ -463,14 +476,17 @@ func (c *Mem) InspectLines(fn func(proto.LineView)) {
 		}
 		seen[addr] = true
 		t := c.trans.Get(addr)
-		backup := t != nil && t.phase == memWaitUnblock
+		backup := c.ft && t != nil && t.phase == memWaitUnblock
 		state := "chip"
 		if !c.owned[addr] {
 			state = "mem"
 		}
 		var sn msg.SerialNumber
 		if t != nil {
-			state = memStatePhaseName(c.owned[addr], t.phase)
+			state = c.names.mem[t.phase]
+			if c.owned[addr] {
+				state = c.names.chip[t.phase]
+			}
 			sn = t.req.sn
 			if sn == 0 {
 				sn = t.ackOSN

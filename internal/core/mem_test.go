@@ -1,6 +1,7 @@
 package core
 
-// White-box tests for the FtDirCMP memory controller.
+// White-box tests for the memory controller, in both protocols where the
+// exchange is shared.
 
 import (
 	"testing"
@@ -14,11 +15,18 @@ import (
 
 func testMem(t *testing.T) (*Mem, *fakeNet, *sim.Engine, proto.Topology) {
 	t.Helper()
+	return newTestMem(t, true)
+}
+
+// newTestMem builds an isolated memory controller (FtDirCMP when ft, else
+// DirCMP).
+func newTestMem(t *testing.T, ft bool) (*Mem, *fakeNet, *sim.Engine, proto.Topology) {
+	t.Helper()
 	topo := proto.Topology{Tiles: 4, Mems: 2, LineSize: 64}
 	engine := sim.NewEngine()
 	net := &fakeNet{}
-	run := stats.NewRun("FtDirCMP", "unit")
-	m := NewMem(topo.Mem(0), topo, testParams(), engine, net, run, memctrl.NewStore())
+	run := stats.NewRun(protoName(ft), "unit")
+	m := NewMem(topo.Mem(0), topo, testParams(), engine, net, run, memctrl.NewStore(), ft)
 	return m, net, engine, topo
 }
 
@@ -40,31 +48,112 @@ func memAddr(topo proto.Topology) msg.Addr {
 }
 
 func TestMemFetchGrantAndUnblock(t *testing.T) {
-	m, net, engine, topo := testMem(t)
-	addr := memAddr(topo)
-	l2 := topo.L2(0)
-	m.Handle(&msg.Message{Type: msg.GetX, Src: l2, Dst: m.id, Addr: addr, SN: 7})
-	// The DataEx is delayed by the access latency.
-	if net.lastOfType(msg.DataEx) != nil {
-		t.Fatal("data before the memory latency elapsed")
-	}
-	runFor(engine, 500)
-	dx := net.lastOfType(msg.DataEx)
-	if dx == nil || dx.Dst != l2 || dx.SN != 7 {
-		t.Fatalf("grant wrong: %v", net.sent)
-	}
-	if !m.Owned(addr) {
-		t.Fatal("ownership not recorded")
-	}
-	net.take()
-	m.Handle(&msg.Message{Type: msg.UnblockEx, Src: l2, Dst: m.id, Addr: addr, SN: 7, PiggybackAckO: true})
-	bd := net.lastOfType(msg.AckBD)
-	if bd == nil || bd.Dst != l2 || bd.SN != 7 {
-		t.Fatalf("piggybacked AckO unanswered: %v", net.sent)
-	}
-	if !m.Quiesced() {
-		t.Fatal("transaction not closed")
-	}
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		m, net, engine, topo := newTestMem(t, ft)
+		addr := memAddr(topo)
+		l2 := topo.L2(0)
+		sn := testSN(ft, 7)
+		m.Handle(&msg.Message{Type: msg.GetX, Src: l2, Dst: m.id, Addr: addr, SN: sn})
+		// The DataEx is delayed by the access latency.
+		if net.lastOfType(msg.DataEx) != nil {
+			t.Fatal("data before the memory latency elapsed")
+		}
+		runFor(engine, 500)
+		dx := net.lastOfType(msg.DataEx)
+		if dx == nil || dx.Dst != l2 || dx.SN != sn {
+			t.Fatalf("grant wrong: %v", net.sent)
+		}
+		if !m.Owned(addr) {
+			t.Fatal("ownership not recorded")
+		}
+		// Until the unblock, FtDirCMP's memory is the off-chip backup of the
+		// data it sent; DirCMP's only marks the line busy.
+		wantState := map[bool]string{false: "chip+txn", true: "chip+wait-unblock"}[ft]
+		m.InspectLines(func(v proto.LineView) {
+			if v.Addr == addr && (v.Backup != ft || v.State != wantState) {
+				t.Fatalf("%s view %+v, want backup %v state %s", protoName(ft), v, ft, wantState)
+			}
+		})
+		net.take()
+		m.Handle(&msg.Message{Type: msg.UnblockEx, Src: l2, Dst: m.id, Addr: addr, SN: sn, PiggybackAckO: ft})
+		bd := net.lastOfType(msg.AckBD)
+		if ft && (bd == nil || bd.Dst != l2 || bd.SN != 7) {
+			t.Fatalf("piggybacked AckO unanswered: %v", net.sent)
+		}
+		if !ft && bd != nil {
+			t.Fatalf("DirCMP answered a plain UnblockEx: %v", net.sent)
+		}
+		if !m.Quiesced() {
+			t.Fatal("transaction not closed")
+		}
+	})
+}
+
+func TestMemPutWithoutOwnershipWantsNoData(t *testing.T) {
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		m, net, _, topo := newTestMem(t, ft)
+		sn := testSN(ft, 1)
+		m.Handle(&msg.Message{Type: msg.Put, Src: topo.L2(0), Dst: m.id, Addr: 0, SN: sn})
+		wa := net.lastOfType(msg.WbAck)
+		if wa == nil || wa.WantData {
+			t.Fatalf("stale Put answered wrongly: %v", net.sent)
+		}
+		m.Handle(&msg.Message{Type: msg.WbNoData, Src: topo.L2(0), Dst: m.id, Addr: 0, SN: sn})
+		if !m.Quiesced() {
+			t.Fatal("transaction not closed")
+		}
+	})
+}
+
+func TestMemStoresWbData(t *testing.T) {
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		m, net, engine, topo := newTestMem(t, ft)
+		addr := memAddr(topo)
+		l2 := topo.L2(0)
+		m.Handle(&msg.Message{Type: msg.GetX, Src: l2, Dst: m.id, Addr: addr, SN: testSN(ft, 1)})
+		runFor(engine, 500)
+		m.Handle(&msg.Message{Type: msg.UnblockEx, Src: l2, Dst: m.id, Addr: addr, SN: testSN(ft, 1), PiggybackAckO: ft})
+		m.Handle(&msg.Message{Type: msg.Put, Src: l2, Dst: m.id, Addr: addr, SN: testSN(ft, 2)})
+		net.take()
+		m.Handle(&msg.Message{
+			Type: msg.WbData, Src: l2, Dst: m.id, Addr: addr, SN: testSN(ft, 2),
+			Payload: msg.Payload{Value: 77, Version: 4}, Dirty: true,
+		})
+		if got := m.store.Read(addr); got.Value != 77 || got.Version != 4 {
+			t.Fatalf("store holds %+v", got)
+		}
+		if m.Owned(addr) {
+			t.Fatal("ownership not cleared")
+		}
+		// FtDirCMP acknowledges the received ownership and waits for the
+		// AckBD; DirCMP's writeback is over.
+		if (net.lastOfType(msg.AckO) != nil) != ft || m.Quiesced() == ft {
+			t.Fatalf("%s: AckO sent %v, quiesced %v", protoName(ft), net.lastOfType(msg.AckO) != nil, m.Quiesced())
+		}
+	})
+}
+
+// TestMemQueuesSameRequesterRequest is the memory side of
+// TestL2QueuesSameRequesterRequest: a DirCMP bank can evict and refetch a
+// line fast enough for the new GetX to overtake its UnblockEx.
+func TestMemQueuesSameRequesterRequest(t *testing.T) {
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		m, net, engine, topo := newTestMem(t, ft)
+		addr := memAddr(topo)
+		l2 := topo.L2(0)
+		sn := testSN(ft, 7)
+		m.Handle(&msg.Message{Type: msg.GetX, Src: l2, Dst: m.id, Addr: addr, SN: sn})
+		m.Handle(&msg.Message{Type: msg.GetX, Src: l2, Dst: m.id, Addr: addr, SN: sn})
+		runFor(engine, 500)
+		net.take()
+		m.Handle(&msg.Message{Type: msg.UnblockEx, Src: l2, Dst: m.id, Addr: addr, SN: sn, PiggybackAckO: ft})
+		runFor(engine, 500)
+		// DirCMP serves the queued GetX; FtDirCMP dropped the duplicate.
+		if (net.lastOfType(msg.DataEx) != nil) == ft || m.Quiesced() != ft {
+			t.Fatalf("%s: second GetX answered %v, quiesced %v", protoName(ft),
+				net.lastOfType(msg.DataEx) != nil, m.Quiesced())
+		}
+	})
 }
 
 func TestMemReissuedFetchResendsData(t *testing.T) {

@@ -98,7 +98,7 @@ func (l *L1) DropLine(addr msg.Addr) {
 		l.freeWB(addr, w)
 	}
 	if e := l.mshr.Get(addr); e != nil {
-		e.sn = l.serial.Next()
+		e.sn = l.nextSN()
 		if len(e.snHistory) < l.serial.Width() {
 			e.snHistory = append(e.snHistory, e.sn)
 		}

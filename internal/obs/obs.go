@@ -3,7 +3,7 @@
 // firings, request reissues, backup lifecycle, pings, fault injections,
 // recoveries) with a metrics registry derived from the event stream.
 //
-// The protocol controllers (internal/core, internal/dircmp, internal/token)
+// The protocol controllers (internal/core, internal/token)
 // emit into a Recorder through nil-safe methods, so an unobserved run pays
 // only a nil check per event. The network feeds the Recorder too (it
 // implements the noc.Recorder hook set): message drops become fault.inject

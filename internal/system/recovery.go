@@ -111,16 +111,16 @@ func (s *System) armStructural() error {
 	s.deadTile = t
 	s.deadNodes = map[msg.NodeID]bool{s.topo.L1(t): true, s.topo.L2(t): true}
 
-	if s.cfg.Protocol == FtDirCMP {
+	if s.ft {
 		s.domains = proto.NewDomains(s.topo, func(tile int) {
 			s.recovery.Declared = true
 			s.recovery.DeclaredCycle = s.engine.Now()
 			s.engine.Schedule(0, s.reconstruct)
 		})
-		for _, l1 := range s.ftL1s {
+		for _, l1 := range s.dirL1s {
 			l1.SetDomains(s.domains)
 		}
-		for _, l2 := range s.ftL2s {
+		for _, l2 := range s.dirL2s {
 			l2.SetDomains(s.domains)
 		}
 		for _, m := range s.memByID {
@@ -148,9 +148,9 @@ func (s *System) killTile() {
 	if t < len(s.cores) {
 		s.cores[t].Kill()
 	}
-	if s.cfg.Protocol == FtDirCMP {
-		s.ftL1s[t].Halt()
-		s.ftL2s[t].Halt()
+	if s.ft {
+		s.dirL1s[t].Halt()
+		s.dirL2s[t].Halt()
 		s.domains.Kill(t)
 	}
 	s.cfg.Obs.TileDeath(s.topo.L2(t))
@@ -161,7 +161,7 @@ func (s *System) killTile() {
 // one event; addresses are sorted before any action so the result is
 // independent of map iteration order.
 func (s *System) reconstruct() {
-	if s.reconstructed || s.cfg.Protocol != FtDirCMP {
+	if s.reconstructed || !s.ft {
 		return
 	}
 	s.reconstructed = true
@@ -180,16 +180,16 @@ func (s *System) reconstruct() {
 			set[a] = true
 		}
 	}
-	s.ftL1s[t].ForEachLine(add)
-	s.ftL2s[t].ForEachLine(add)
-	for i, l1 := range s.ftL1s {
+	s.dirL1s[t].ForEachLine(add)
+	s.dirL2s[t].ForEachLine(add)
+	for i, l1 := range s.dirL1s {
 		if i == t {
 			continue
 		}
 		l1.RefsDead(dead, add)
 		l1.ForEachLine(homeScan)
 	}
-	for i, l2 := range s.ftL2s {
+	for i, l2 := range s.dirL2s {
 		if i == t {
 			continue
 		}
@@ -212,7 +212,7 @@ func (s *System) reconstruct() {
 	for _, a := range addrs {
 		home := s.memByID[s.topo.HomeMem(a)]
 		best := home.StorePayload(a)
-		for i, l1 := range s.ftL1s {
+		for i, l1 := range s.dirL1s {
 			if i == t {
 				continue
 			}
@@ -220,7 +220,7 @@ func (s *System) reconstruct() {
 				best = p
 			}
 		}
-		for i, l2 := range s.ftL2s {
+		for i, l2 := range s.dirL2s {
 			if i == t {
 				continue
 			}
@@ -229,10 +229,10 @@ func (s *System) reconstruct() {
 			}
 		}
 		var deadMax uint64
-		if p, ok := s.ftL1s[t].BestPayload(a); ok && p.Version > deadMax {
+		if p, ok := s.dirL1s[t].BestPayload(a); ok && p.Version > deadMax {
 			deadMax = p.Version
 		}
-		if p, ok := s.ftL2s[t].BestPayload(a); ok && p.Version > deadMax {
+		if p, ok := s.dirL2s[t].BestPayload(a); ok && p.Version > deadMax {
 			deadMax = p.Version
 		}
 		if deadMax > best.Version {
@@ -243,12 +243,12 @@ func (s *System) reconstruct() {
 			}
 		}
 		home.Reconstruct(a, best)
-		for i, l2 := range s.ftL2s {
+		for i, l2 := range s.dirL2s {
 			if i != t {
 				l2.DropLine(a)
 			}
 		}
-		for i, l1 := range s.ftL1s {
+		for i, l1 := range s.dirL1s {
 			if i != t {
 				l1.DropLine(a)
 			}

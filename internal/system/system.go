@@ -1,7 +1,8 @@
 // Package system assembles a complete tiled-CMP simulation: cores, L1s, L2
-// banks and memory controllers attached to the mesh, running either the
-// DirCMP baseline or the FtDirCMP fault-tolerant protocol, with fault
-// injection, a data-integrity oracle and a coherence invariant checker.
+// banks and memory controllers attached to the mesh, running one of the
+// coherence protocols (a directory or a token family, each as a baseline or
+// its fault-tolerant extension), with fault injection, a data-integrity
+// oracle and a coherence invariant checker.
 package system
 
 import (
@@ -11,7 +12,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/dircmp"
 	"repro/internal/fault"
 	"repro/internal/memctrl"
 	"repro/internal/msg"
@@ -222,10 +222,118 @@ type System struct {
 	reconstructed bool
 	recovery      RecoveryReport
 
-	// Typed controller handles for the FtDirCMP reconstruction flush.
-	ftL1s   []*core.L1
-	ftL2s   []*core.L2
+	// ft is the protocol's fault-tolerant flag (see families).
+	ft bool
+
+	// Typed directory-controller handles for the FtDirCMP reconstruction
+	// flush (nil for the token family).
+	dirL1s  []*core.L1
+	dirL2s  []*core.L2
 	memByID map[msg.NodeID]*core.Mem
+}
+
+// family is one protocol implementation: a baseline and its fault-tolerant
+// extension, built by the same controllers with an ft flag.
+type family struct {
+	base, ft Protocol
+	build    func(s *System, ft bool, onWrite proto.WriteObserver) error
+}
+
+// families lists the implementations behind every Protocol.
+var families = [...]family{
+	{DirCMP, FtDirCMP, (*System).buildDirectory},
+	{TokenCMP, FtTokenCMP, (*System).buildToken},
+}
+
+// familyOf returns p's implementation and whether p is its fault-tolerant
+// member.
+func familyOf(p Protocol) (family, bool, bool) {
+	for _, f := range families {
+		if p == f.base || p == f.ft {
+			return f, p == f.ft, true
+		}
+	}
+	return family{}, false, false
+}
+
+// buildDirectory attaches the DirCMP/FtDirCMP controllers: an L1 and an L2
+// bank per tile, and the memory controllers.
+func (s *System) buildDirectory(ft bool, onWrite proto.WriteObserver) error {
+	cfg, topo := s.cfg, s.topo
+	if ft && cfg.Params.SerialBits < 1 {
+		return fmt.Errorf("system: %v needs at least 1 serial number bit, got %d",
+			cfg.Protocol, cfg.Params.SerialBits)
+	}
+	for i := 0; i < cfg.Tiles(); i++ {
+		l1, err := core.NewL1(topo.L1(i), topo, cfg.Params, s.engine, s.net, s.run, onWrite, ft)
+		if err != nil {
+			return err
+		}
+		l2, err := core.NewL2(topo.L2(i), topo, cfg.Params, s.engine, s.net, s.run, ft)
+		if err != nil {
+			return err
+		}
+		if err := s.attachAgent(i, l1, "L1"); err != nil {
+			return err
+		}
+		if err := s.attachAgent(i, l2, "L2 bank"); err != nil {
+			return err
+		}
+		s.ports = append(s.ports, l1)
+		s.dirL1s = append(s.dirL1s, l1)
+		s.dirL2s = append(s.dirL2s, l2)
+	}
+	store := memctrl.NewStore()
+	s.memByID = make(map[msg.NodeID]*core.Mem, cfg.Mems)
+	for i := 0; i < cfg.Mems; i++ {
+		mc := core.NewMem(topo.Mem(i), topo, cfg.Params, s.engine, s.net, s.run, store, ft)
+		if err := s.attachAgent(memRouter(cfg, i), mc, "memory"); err != nil {
+			return err
+		}
+		s.memByID[mc.NodeID()] = mc
+	}
+	return nil
+}
+
+// buildToken attaches the TokenCMP/FtTokenCMP controllers: an L1 and a
+// home node per tile. Token protocols have no separate memory controllers:
+// the home nodes are the memory-side token holders (see internal/token).
+func (s *System) buildToken(ft bool, onWrite proto.WriteObserver) error {
+	cfg, topo := s.cfg, s.topo
+	for i := 0; i < cfg.Tiles(); i++ {
+		l1, err := token.NewL1(topo.L1(i), topo, cfg.Params, s.engine, s.net, s.run, onWrite, ft)
+		if err != nil {
+			return err
+		}
+		home := token.NewHome(topo.L2(i), topo, cfg.Params, s.engine, s.net, s.run, ft)
+		if err := s.attachAgent(i, l1, "L1"); err != nil {
+			return err
+		}
+		if err := s.attachAgent(i, home, "home"); err != nil {
+			return err
+		}
+		s.ports = append(s.ports, l1)
+	}
+	return nil
+}
+
+// agent is a protocol controller attached to the mesh.
+type agent interface {
+	proto.Inspectable
+	Handle(*msg.Message)
+	Quiesced() bool
+}
+
+// attachAgent connects a to the mesh at router and registers it for
+// inspection and the quiescence check under "<kind> <id>".
+func (s *System) attachAgent(router int, a agent, kind string) error {
+	id := a.NodeID()
+	if err := s.net.Attach(id, router, a.Handle); err != nil {
+		return fmt.Errorf("system: attach node %d: %w", id, err)
+	}
+	s.agents = append(s.agents, a)
+	s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("%s %d", kind, id), id, a.Quiesced})
+	return nil
 }
 
 // maxMidRunErrs caps the mid-run violation log; a broken protocol can fail
@@ -293,94 +401,13 @@ func New(cfg Config) (*System, error) {
 		onWrite = s.integrity.OnWriteCommit
 	}
 
-	store := memctrl.NewStore()
-
-	switch cfg.Protocol {
-	case DirCMP:
-		for i := 0; i < cfg.Tiles(); i++ {
-			l1, err := dircmp.NewL1(topo.L1(i), topo, cfg.Params, engine, net, run, onWrite)
-			if err != nil {
-				return nil, err
-			}
-			l2, err := dircmp.NewL2(topo.L2(i), topo, cfg.Params, engine, net, run)
-			if err != nil {
-				return nil, err
-			}
-			if err := attach(net, l1.NodeID(), i, l1.Handle); err != nil {
-				return nil, err
-			}
-			if err := attach(net, l2.NodeID(), i, l2.Handle); err != nil {
-				return nil, err
-			}
-			s.ports = append(s.ports, l1)
-			s.agents = append(s.agents, l1, l2)
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("L1 %d", l1.NodeID()), l1.NodeID(), l1.Quiesced})
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("L2 bank %d", l2.NodeID()), l2.NodeID(), l2.Quiesced})
-		}
-		for i := 0; i < cfg.Mems; i++ {
-			mc := dircmp.NewMem(topo.Mem(i), topo, cfg.Params, engine, net, run, store)
-			if err := attach(net, mc.NodeID(), memRouter(cfg, i), mc.Handle); err != nil {
-				return nil, err
-			}
-			s.agents = append(s.agents, mc)
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("memory %d", mc.NodeID()), mc.NodeID(), mc.Quiesced})
-		}
-	case FtDirCMP:
-		for i := 0; i < cfg.Tiles(); i++ {
-			l1, err := core.NewL1(topo.L1(i), topo, cfg.Params, engine, net, run, onWrite)
-			if err != nil {
-				return nil, err
-			}
-			l2, err := core.NewL2(topo.L2(i), topo, cfg.Params, engine, net, run)
-			if err != nil {
-				return nil, err
-			}
-			if err := attach(net, l1.NodeID(), i, l1.Handle); err != nil {
-				return nil, err
-			}
-			if err := attach(net, l2.NodeID(), i, l2.Handle); err != nil {
-				return nil, err
-			}
-			s.ports = append(s.ports, l1)
-			s.agents = append(s.agents, l1, l2)
-			s.ftL1s = append(s.ftL1s, l1)
-			s.ftL2s = append(s.ftL2s, l2)
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("L1 %d", l1.NodeID()), l1.NodeID(), l1.Quiesced})
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("L2 bank %d", l2.NodeID()), l2.NodeID(), l2.Quiesced})
-		}
-		s.memByID = make(map[msg.NodeID]*core.Mem, cfg.Mems)
-		for i := 0; i < cfg.Mems; i++ {
-			mc := core.NewMem(topo.Mem(i), topo, cfg.Params, engine, net, run, store)
-			if err := attach(net, mc.NodeID(), memRouter(cfg, i), mc.Handle); err != nil {
-				return nil, err
-			}
-			s.agents = append(s.agents, mc)
-			s.memByID[mc.NodeID()] = mc
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("memory %d", mc.NodeID()), mc.NodeID(), mc.Quiesced})
-		}
-	case TokenCMP, FtTokenCMP:
-		ft := cfg.Protocol == FtTokenCMP
-		for i := 0; i < cfg.Tiles(); i++ {
-			l1, err := token.NewL1(topo.L1(i), topo, cfg.Params, engine, net, run, onWrite, ft)
-			if err != nil {
-				return nil, err
-			}
-			home := token.NewHome(topo.L2(i), topo, cfg.Params, engine, net, run, ft)
-			if err := attach(net, l1.NodeID(), i, l1.Handle); err != nil {
-				return nil, err
-			}
-			if err := attach(net, home.NodeID(), i, home.Handle); err != nil {
-				return nil, err
-			}
-			s.ports = append(s.ports, l1)
-			s.agents = append(s.agents, l1, home)
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("L1 %d", l1.NodeID()), l1.NodeID(), l1.Quiesced})
-			s.quiesce = append(s.quiesce, quiesceEntry{fmt.Sprintf("home %d", home.NodeID()), home.NodeID(), home.Quiesced})
-		}
-		// Token protocols have no separate memory controllers: the home
-		// nodes are the memory-side token holders (see internal/token).
-	default:
+	f, ft, ok := familyOf(cfg.Protocol)
+	if !ok {
 		return nil, fmt.Errorf("system: unknown protocol %v", cfg.Protocol)
+	}
+	s.ft = ft
+	if err := f.build(s, ft, onWrite); err != nil {
+		return nil, err
 	}
 	if err := s.armStructural(); err != nil {
 		return nil, err
@@ -416,13 +443,6 @@ func New(cfg Config) (*System, error) {
 
 // Obs returns the event recorder the system was built with (nil if none).
 func (s *System) Obs() *obs.Recorder { return s.cfg.Obs }
-
-func attach(net *noc.Network, id msg.NodeID, router int, h noc.Handler) error {
-	if err := net.Attach(id, router, h); err != nil {
-		return fmt.Errorf("system: attach node %d: %w", id, err)
-	}
-	return nil
-}
 
 // memRouter spreads the memory controllers across the mesh corners/edges.
 func memRouter(cfg Config, i int) int {

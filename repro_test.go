@@ -43,6 +43,25 @@ func TestRunUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestSerialNumberBitsZero is the regression test for a process-killing
+// input: FtDirCMP with no serial number bits used to panic while building
+// its controllers. It must be rejected with an error instead, while DirCMP,
+// which has no serial numbers, keeps ignoring the field.
+func TestSerialNumberBitsZero(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.OpsPerCore = 50
+	cfg.SerialNumberBits = 0
+
+	cfg.Protocol = FtDirCMP
+	if _, err := Run(cfg, "uniform"); err == nil || !strings.Contains(err.Error(), "serial number bit") {
+		t.Fatalf("FtDirCMP with 0 serial bits: err = %v, want a serial-bits error", err)
+	}
+	cfg.Protocol = DirCMP
+	if _, err := Run(cfg, "uniform"); err != nil {
+		t.Fatalf("DirCMP with 0 serial bits: %v", err)
+	}
+}
+
 func TestCompareFaultFreeOverheadIsSmall(t *testing.T) {
 	dir, ft, err := Compare(testConfig(), "uniform")
 	if err != nil {
