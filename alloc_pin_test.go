@@ -7,7 +7,12 @@
 
 package repro
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/system"
+)
 
 // TestFig3QuickAllocsPin pins the steady-state allocation count of the
 // quick Figure-3 configuration with instrumentation off — the regression
@@ -57,5 +62,33 @@ func TestDirCMPAllocsPin(t *testing.T) {
 	t.Logf("allocs/run: DirCMP %.0f, FtDirCMP %.0f", dir, ft)
 	if dir > ft {
 		t.Errorf("DirCMP %.0f allocs/run > FtDirCMP %.0f", dir, ft)
+	}
+}
+
+// TestTable4SetupAllocsPin bounds the heap bytes of assembling the paper's
+// Table-4 system (4x4 tiles, 32 KB L1s, 512 KB L2 banks). Cache sets are
+// built on first touch, so assembly allocates no cache frames; an eager
+// build allocated 10.7 MB of them, which every gate run and every service
+// request paid before simulating a cycle.
+func TestTable4SetupAllocsPin(t *testing.T) {
+	cfg := DefaultConfig().toInternal()
+	build := func() {
+		if _, err := system.New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	const maxBytes = 1 << 20
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("system.New(DefaultConfig): %d B, %d allocs", perRun, (after.Mallocs-before.Mallocs)/runs)
+	if perRun > maxBytes {
+		t.Errorf("system.New(DefaultConfig) allocated %d bytes, want <= %d (eager cache frames were 10.7 MB)", perRun, maxBytes)
 	}
 }

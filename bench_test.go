@@ -17,12 +17,17 @@ package repro
 //   - BenchmarkSpanReconstruction / BenchmarkEventEmission: the cost of the
 //     observability layer — span rebuilding off the event stream, and the
 //     per-event emission hot path with instrumentation off/on.
+//   - BenchmarkSystemNewTable4 / BenchmarkCheckLine: per-layer rows for
+//     assembly (building the Table-4 system) and the checker (one
+//     recovery-probe check of a line mid-run), so a regression in a whole
+//     run can be traced to the layer it came from.
 //
 // `make bench` regenerates every number into BENCH_PR4.json; cmd/ftexp
 // prints the same results as the paper's tables.
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/msg"
@@ -393,4 +398,44 @@ func BenchmarkFaultSweepParallelism(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSystemNewTable4 measures assembling the Table-4 system (4x4
+// tiles, 32 KB L1s, 512 KB L2 banks) without running it: the setup cost
+// every run pays. See TestTable4SetupAllocsPin for its byte budget.
+func BenchmarkSystemNewTable4(b *testing.B) {
+	cfg := DefaultConfig().toInternal()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := system.New(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCheckLine measures one recovery-probe check (System.CheckLine)
+// on a Table-4 FtDirCMP system stopped mid-run, cycling over the lines the
+// run has touched. Its cost must not grow with cache capacity or with the
+// number of touched lines.
+func BenchmarkCheckLine(b *testing.B) {
+	s, err := system.New(DefaultConfig().toInternal())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Begin(workload.Uniform(512, 0.5))
+	events := 0
+	s.Engine().RunUntil(0, func() bool { events++; return events >= 200_000 })
+	var addrs []msg.Addr
+	for addr := range s.MemoryImage() {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.CheckLine(addrs[i%len(addrs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(addrs)), "lines")
 }

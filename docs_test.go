@@ -157,6 +157,11 @@ func TestDocsPerformanceMatchesCode(t *testing.T) {
 		"TestQueueMatchesReference", "TestQueueChoiceRemovalPositions",
 		"FuzzEngineOrder", "TestStoppedTimerStaysQueued",
 		"BenchmarkEngineQueueMesh", "make sim-check",
+		"## Checker and assembly cost", "InspectLine(addr, fn)",
+		"TestLazyArrayMatchesEager", "TestLazyArrayUntouched",
+		"TestInspectLineMatchesInspectLines", "TestL1InspectLineOrder",
+		"TestTable4SetupAllocsPin", "TestEventBufferHugeCapacity",
+		"BenchmarkSystemNewTable4", "BenchmarkCheckLine",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("docs/PERFORMANCE.md does not mention %q", want)

@@ -1,6 +1,15 @@
 // Package cache provides the storage substrates shared by both protocols:
 // a set-associative cache array with LRU replacement, and a generic
 // bounded table used for MSHRs and writeback/backup buffers.
+//
+// An Array's frames are built lazily: a set gets its ways the first time
+// Victim picks a frame in it, carved from fixed-size chunks, and a set never
+// touched has none. Assembly therefore allocates no frames, and a run's
+// array memory scales with the sets it touches rather than with the
+// configured capacity (a Table-4 L2 bank is 512 KB; a short run touches a
+// small fraction of its sets). Lookup misses on an untouched set and
+// ForEach skips it, so every observable result is that of an array built
+// eagerly.
 package cache
 
 import (
@@ -31,15 +40,24 @@ func (l *Line) Reset(addr msg.Addr) {
 
 // Array is a set-associative cache indexed by line address.
 type Array struct {
+	// sets[i] is nil until set i is first touched by Victim; then it holds
+	// the set's ways, carved from chunk.
 	sets     [][]Line
+	chunk    []Line // frames not yet handed to a set
 	numSets  int
 	ways     int
 	lineSize int
 	tick     uint64
 }
 
+// chunkSets is how many sets' frames one chunk allocation provides (fewer
+// when the array has fewer sets), so materializing sets costs one
+// allocation per chunkSets first touches rather than one per set.
+const chunkSets = 64
+
 // NewArray builds an array with the given geometry. sizeBytes must be a
 // multiple of ways*lineSize and the resulting set count a power of two.
+// No frames are allocated until a set is first touched.
 func NewArray(sizeBytes, ways, lineSize int) (*Array, error) {
 	if sizeBytes <= 0 || ways <= 0 || lineSize <= 0 {
 		return nil, fmt.Errorf("cache: invalid geometry size=%d ways=%d line=%d", sizeBytes, ways, lineSize)
@@ -51,12 +69,7 @@ func NewArray(sizeBytes, ways, lineSize int) (*Array, error) {
 	if numSets&(numSets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", numSets)
 	}
-	sets := make([][]Line, numSets)
-	backing := make([]Line, numSets*ways)
-	for i := range sets {
-		sets[i] = backing[i*ways : (i+1)*ways : (i+1)*ways]
-	}
-	return &Array{sets: sets, numSets: numSets, ways: ways, lineSize: lineSize}, nil
+	return &Array{sets: make([][]Line, numSets), numSets: numSets, ways: ways, lineSize: lineSize}, nil
 }
 
 // LineSize returns the line size in bytes.
@@ -97,7 +110,12 @@ func (a *Array) Touch(l *Line) {
 // another course). The returned frame still holds the victim's contents;
 // the caller evicts it and then calls Reset.
 func (a *Array) Victim(addr msg.Addr, canEvict func(*Line) bool) *Line {
-	set := a.sets[a.setOf(addr)]
+	s := a.setOf(addr)
+	set := a.sets[s]
+	if set == nil {
+		set = a.carve()
+		a.sets[s] = set
+	}
 	var victim *Line
 	for i := range set {
 		l := &set[i]
@@ -114,12 +132,25 @@ func (a *Array) Victim(addr msg.Addr, canEvict func(*Line) bool) *Line {
 	return victim
 }
 
-// ForEach visits every valid line. Used by the invariant checker.
+// carve hands out the next set's worth of invalid frames, allocating a new
+// chunk when the current one is used up.
+func (a *Array) carve() []Line {
+	if len(a.chunk) == 0 {
+		a.chunk = make([]Line, min(chunkSets, a.numSets)*a.ways)
+	}
+	set := a.chunk[:a.ways:a.ways]
+	a.chunk = a.chunk[a.ways:]
+	return set
+}
+
+// ForEach visits every valid line in ascending (set, way) order, skipping
+// sets never touched. It backs full-state walks (InspectLines, the
+// structural checks); a question about one line should use Lookup.
 func (a *Array) ForEach(fn func(*Line)) {
-	for s := range a.sets {
-		for i := range a.sets[s] {
-			if a.sets[s][i].Valid {
-				fn(&a.sets[s][i])
+	for _, set := range a.sets {
+		for i := range set {
+			if set[i].Valid {
+				fn(&set[i])
 			}
 		}
 	}

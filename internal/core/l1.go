@@ -1066,56 +1066,102 @@ func (l *L1) send(m *msg.Message) {
 
 // InspectLines implements proto.Inspectable.
 func (l *L1) InspectLines(fn func(proto.LineView)) {
-	l.array.ForEach(func(c *cache.Line) {
-		state := stateName(c.State)
-		var sn msg.SerialNumber
-		if e := l.mshr.Get(c.Addr); e != nil {
-			state = stateNameMiss(c.State)
-			sn = e.sn
-		} else if b := l.blocked.Get(c.Addr); b != nil {
-			state = stateNameBlocked(c.State)
-			sn = b.sn
-		}
-		fn(proto.LineView{
-			Addr:      c.Addr,
-			Perm:      permOf(c.State),
-			Owner:     ownerState(c.State),
-			Transient: l.mshr.Get(c.Addr) != nil || l.blocked.Get(c.Addr) != nil,
-			Payload:   c.Payload,
-			State:     state,
-			SN:        sn,
-		})
-	})
+	l.array.ForEach(func(c *cache.Line) { fn(l.frameView(c)) })
 	// Misses and blocked requests on lines not (yet) resident in the array
 	// are still in-flight transactions; report them so deadlock dumps and
 	// coverage tooling see every pending request.
 	l.mshr.ForEach(func(addr msg.Addr, e *l1Miss) {
 		if l.array.Lookup(addr) == nil {
-			fn(proto.LineView{Addr: addr, Transient: true, State: "I+miss", SN: e.sn})
+			fn(missView(addr, e))
 		}
 	})
 	l.blocked.ForEach(func(addr msg.Addr, b *blockedEntry) {
 		if l.array.Lookup(addr) == nil && l.mshr.Get(addr) == nil {
-			fn(proto.LineView{Addr: addr, Transient: true, State: "I+blocked", SN: b.sn})
+			fn(blockedView(addr, b))
 		}
 	})
-	l.backups.ForEach(func(addr msg.Addr, b *backupEntry) {
-		fn(proto.LineView{Addr: addr, Backup: true, Transient: true, Payload: b.payload,
-			State: "backup", SN: b.sn})
-	})
+	l.backups.ForEach(func(addr msg.Addr, b *backupEntry) { fn(backupView(addr, b)) })
 	l.wb.ForEach(func(addr msg.Addr, w *l1WB) {
-		if w.transferred && l.ft {
-			// FtDirCMP reports the handed-over data as its backup entry.
-			return
+		if v, ok := l.wbView(addr, w); ok {
+			fn(v)
 		}
-		fn(proto.LineView{
-			Addr:      addr,
-			Owner:     !w.sentData && !w.transferred,
-			Backup:    w.sentData,
-			Transient: true,
-			Payload:   w.payload,
-			State:     "WB",
-			SN:        w.sn,
-		})
 	})
+}
+
+// InspectLine implements proto.Inspectable with point lookups, in
+// InspectLines' order: the frame (else the miss, else the blocked request),
+// then the backup, then the writeback.
+func (l *L1) InspectLine(addr msg.Addr, fn func(proto.LineView)) {
+	if c := l.array.Lookup(addr); c != nil {
+		fn(l.frameView(c))
+	} else if e := l.mshr.Get(addr); e != nil {
+		fn(missView(addr, e))
+	} else if b := l.blocked.Get(addr); b != nil {
+		fn(blockedView(addr, b))
+	}
+	if b := l.backups.Get(addr); b != nil {
+		fn(backupView(addr, b))
+	}
+	if w := l.wb.Get(addr); w != nil {
+		if v, ok := l.wbView(addr, w); ok {
+			fn(v)
+		}
+	}
+}
+
+// frameView is the view of a resident line.
+func (l *L1) frameView(c *cache.Line) proto.LineView {
+	state := stateName(c.State)
+	var sn msg.SerialNumber
+	e, b := l.mshr.Get(c.Addr), l.blocked.Get(c.Addr)
+	if e != nil {
+		state = stateNameMiss(c.State)
+		sn = e.sn
+	} else if b != nil {
+		state = stateNameBlocked(c.State)
+		sn = b.sn
+	}
+	return proto.LineView{
+		Addr:      c.Addr,
+		Perm:      permOf(c.State),
+		Owner:     ownerState(c.State),
+		Transient: e != nil || b != nil,
+		Payload:   c.Payload,
+		State:     state,
+		SN:        sn,
+	}
+}
+
+// missView is the view of a miss on a line not resident in the array.
+func missView(addr msg.Addr, e *l1Miss) proto.LineView {
+	return proto.LineView{Addr: addr, Transient: true, State: "I+miss", SN: e.sn}
+}
+
+// blockedView is the view of a blocked request on a line neither resident
+// nor missing.
+func blockedView(addr msg.Addr, b *blockedEntry) proto.LineView {
+	return proto.LineView{Addr: addr, Transient: true, State: "I+blocked", SN: b.sn}
+}
+
+// backupView is the view of a backup copy kept for an ownership transfer.
+func backupView(addr msg.Addr, b *backupEntry) proto.LineView {
+	return proto.LineView{Addr: addr, Backup: true, Transient: true, Payload: b.payload,
+		State: "backup", SN: b.sn}
+}
+
+// wbView is the view of a pending writeback; ok is false when FtDirCMP
+// already reports the handed-over data as its backup entry.
+func (l *L1) wbView(addr msg.Addr, w *l1WB) (v proto.LineView, ok bool) {
+	if w.transferred && l.ft {
+		return proto.LineView{}, false
+	}
+	return proto.LineView{
+		Addr:      addr,
+		Owner:     !w.sentData && !w.transferred,
+		Backup:    w.sentData,
+		Transient: true,
+		Payload:   w.payload,
+		State:     "WB",
+		SN:        w.sn,
+	}, true
 }

@@ -7,6 +7,7 @@ package core
 // ping answers). Exchanges both protocols share run in both modes.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/msg"
@@ -455,5 +456,69 @@ func TestL1WritebackCompletesOnWbAck(t *testing.T) {
 		if l.Quiesced() == ft {
 			t.Fatalf("%s: quiesced %v after WbData", protoName(ft), l.Quiesced())
 		}
+	})
+}
+
+// TestL1InspectLineOrder drives one line of an L1 through states where it
+// has several views at once — a miss beside a backup, then a blocked
+// request, a backup and a writeback together (an ownership transfer not
+// yet acknowledged when the line is re-acquired and evicted) — and
+// requires InspectLine to report exactly InspectLines' views for the line,
+// in InspectLines' order. Sampled system runs did not reach a backup and a
+// writeback on one line at once, so the order is pinned here.
+func TestL1InspectLineOrder(t *testing.T) {
+	forBothProtocols(t, func(t *testing.T, ft bool) {
+		l, net, engine := newTestL1(t, ft)
+		const addr = 0x40
+		check := func(step string, want ...string) {
+			t.Helper()
+			var all, got []proto.LineView
+			l.InspectLines(func(v proto.LineView) {
+				if v.Addr == addr {
+					all = append(all, v)
+				}
+			})
+			l.InspectLine(addr, func(v proto.LineView) { got = append(got, v) })
+			var states []string
+			for _, v := range got {
+				states = append(states, v.State)
+			}
+			if len(got) != len(all) || fmt.Sprint(states) != fmt.Sprint(want) {
+				t.Fatalf("%s: InspectLine states %v, want %v (InspectLines %+v)", step, states, want, all)
+			}
+			for i := range got {
+				if got[i] != all[i] {
+					t.Fatalf("%s: view %d = %+v, InspectLines has %+v", step, i, got[i], all[i])
+				}
+			}
+		}
+		fill(t, l, net, engine, addr, true)
+		check("owned", "M")
+		l.Handle(&msg.Message{
+			Type: msg.GetX, Src: l.topo.HomeL2(addr), Dst: l.id, Addr: addr, SN: testSN(ft, 50),
+			Forwarded: true, Requestor: 3,
+		})
+		if !ft {
+			check("transferred")
+			return
+		}
+		check("transferred", "backup")
+		done := false
+		l.Write(addr, 0xdef, func(proto.AccessResult) { done = true })
+		check("re-acquiring", "I+miss", "backup")
+		req := net.lastOfType(msg.GetX)
+		if req == nil {
+			t.Fatalf("no GetX for the re-acquisition: %v", net.sent)
+		}
+		l.Handle(&msg.Message{
+			Type: msg.DataEx, Src: l.topo.HomeL2(addr), Dst: l.id, Addr: addr, SN: req.SN,
+			Payload: msg.Payload{Value: 2, Version: 2}, Dirty: true,
+		})
+		engine.RunUntil(1_000_000, func() bool { return done })
+		if !done {
+			t.Fatal("re-acquisition never completed")
+		}
+		l.evict(l.array.Lookup(addr), 0)
+		check("evicted", "I+blocked", "backup", "WB")
 	})
 }

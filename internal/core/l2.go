@@ -1461,39 +1461,59 @@ func (t *l2Trans) viewSN() msg.SerialNumber {
 
 // InspectLines implements proto.Inspectable.
 func (l *L2) InspectLines(fn func(proto.LineView)) {
-	l.array.ForEach(func(c *cache.Line) {
-		t := l.trans.Get(c.Addr)
-		backup := t != nil && t.sentDataExTo != 0 && !t.backupCleared
-		state := l2StateName(c.State)
-		var sn msg.SerialNumber
-		if t != nil {
-			state = l.names.statePhase[c.State][t.phase]
-			sn = t.viewSN()
-		} else if e := l.ext.Get(c.Addr); e != nil {
-			state = l.names.stateExt[c.State]
-			sn = e.sn
-		}
-		fn(proto.LineView{
-			Addr:      c.Addr,
-			Owner:     c.State == L2StateS && !backup,
-			Backup:    backup,
-			Transient: t != nil || l.ext.Get(c.Addr) != nil,
-			Payload:   c.Payload,
-			State:     state,
-			SN:        sn,
-		})
-	})
+	l.array.ForEach(func(c *cache.Line) { fn(l.frameView(c)) })
 	l.trans.ForEach(func(addr msg.Addr, t *l2Trans) {
 		if t.wbValid {
-			fn(proto.LineView{
-				Addr:      addr,
-				Owner:     t.phase == phaseWaitMemWbAck,
-				Backup:    t.phase == phaseWaitMemAckO,
-				Transient: true,
-				Payload:   t.wbPayload,
-				State:     l.names.wb[t.phase],
-				SN:        t.viewSN(),
-			})
+			fn(l.wbView(addr, t))
 		}
 	})
+}
+
+// InspectLine implements proto.Inspectable with point lookups, in
+// InspectLines' order: the frame, then the parked eviction writeback.
+func (l *L2) InspectLine(addr msg.Addr, fn func(proto.LineView)) {
+	if c := l.array.Lookup(addr); c != nil {
+		fn(l.frameView(c))
+	}
+	if t := l.trans.Get(addr); t != nil && t.wbValid {
+		fn(l.wbView(addr, t))
+	}
+}
+
+// frameView is the view of a resident directory line.
+func (l *L2) frameView(c *cache.Line) proto.LineView {
+	t := l.trans.Get(c.Addr)
+	e := l.ext.Get(c.Addr)
+	backup := t != nil && t.sentDataExTo != 0 && !t.backupCleared
+	state := l2StateName(c.State)
+	var sn msg.SerialNumber
+	if t != nil {
+		state = l.names.statePhase[c.State][t.phase]
+		sn = t.viewSN()
+	} else if e != nil {
+		state = l.names.stateExt[c.State]
+		sn = e.sn
+	}
+	return proto.LineView{
+		Addr:      c.Addr,
+		Owner:     c.State == L2StateS && !backup,
+		Backup:    backup,
+		Transient: t != nil || e != nil,
+		Payload:   c.Payload,
+		State:     state,
+		SN:        sn,
+	}
+}
+
+// wbView is the view of an eviction writeback parked in t (t.wbValid).
+func (l *L2) wbView(addr msg.Addr, t *l2Trans) proto.LineView {
+	return proto.LineView{
+		Addr:      addr,
+		Owner:     t.phase == phaseWaitMemWbAck,
+		Backup:    t.phase == phaseWaitMemAckO,
+		Transient: true,
+		Payload:   t.wbPayload,
+		State:     l.names.wb[t.phase],
+		SN:        t.viewSN(),
+	}
 }

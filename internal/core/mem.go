@@ -467,45 +467,55 @@ func (c *Mem) send(m *msg.Message) {
 // every line it has ever interacted with (fetched by the chip or written
 // back), claiming ownership of the ones the chip does not currently hold.
 // In FtDirCMP, while a DataEx it sent is unacknowledged, it reports itself
-// as the (off-chip) backup.
+// as the (off-chip) backup. The lines are the owned map's, then the shared
+// store's lines the owned map does not name.
 func (c *Mem) InspectLines(fn func(proto.LineView)) {
-	seen := make(map[msg.Addr]bool, len(c.owned))
-	emit := func(addr msg.Addr) {
-		if seen[addr] || c.topo.HomeMem(addr) != c.id {
-			return
-		}
-		seen[addr] = true
-		t := c.trans.Get(addr)
-		backup := c.ft && t != nil && t.phase == memWaitUnblock
-		state := "chip"
-		if !c.owned[addr] {
-			state = "mem"
-		}
-		var sn msg.SerialNumber
-		if t != nil {
-			state = c.names.mem[t.phase]
-			if c.owned[addr] {
-				state = c.names.chip[t.phase]
-			}
-			sn = t.req.sn
-			if sn == 0 {
-				sn = t.ackOSN
-			}
-		}
-		fn(proto.LineView{
-			Addr:      addr,
-			Owner:     !c.owned[addr] || (t != nil && t.phase == memWaitAckBD),
-			Backup:    backup,
-			Transient: t != nil,
-			Payload:   c.store.Read(addr),
-			State:     state,
-			SN:        sn,
-		})
-	}
 	for addr := range c.owned {
-		emit(addr)
+		c.InspectLine(addr, fn)
 	}
-	c.store.ForEach(func(addr msg.Addr, _ msg.Payload) { emit(addr) })
+	c.store.ForEach(func(addr msg.Addr, _ msg.Payload) {
+		if _, known := c.owned[addr]; !known {
+			c.InspectLine(addr, fn)
+		}
+	})
+}
+
+// InspectLine implements proto.Inspectable with point lookups: one view
+// when addr is homed here and is in the owned map or the store.
+func (c *Mem) InspectLine(addr msg.Addr, fn func(proto.LineView)) {
+	if c.topo.HomeMem(addr) != c.id {
+		return
+	}
+	owned, known := c.owned[addr]
+	if !known && !c.store.Has(addr) {
+		return
+	}
+	t := c.trans.Get(addr)
+	backup := c.ft && t != nil && t.phase == memWaitUnblock
+	state := "chip"
+	if !owned {
+		state = "mem"
+	}
+	var sn msg.SerialNumber
+	if t != nil {
+		state = c.names.mem[t.phase]
+		if owned {
+			state = c.names.chip[t.phase]
+		}
+		sn = t.req.sn
+		if sn == 0 {
+			sn = t.ackOSN
+		}
+	}
+	fn(proto.LineView{
+		Addr:      addr,
+		Owner:     !owned || (t != nil && t.phase == memWaitAckBD),
+		Backup:    backup,
+		Transient: t != nil,
+		Payload:   c.store.Read(addr),
+		State:     state,
+		SN:        sn,
+	})
 }
 
 // Owned reports whether the chip currently owns addr.

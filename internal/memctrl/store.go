@@ -28,6 +28,12 @@ func (s *Store) Read(addr msg.Addr) msg.Payload {
 	return s.lines[addr]
 }
 
+// Has reports whether the line address was ever written.
+func (s *Store) Has(addr msg.Addr) bool {
+	_, ok := s.lines[addr]
+	return ok
+}
+
 // Write stores a payload at the line address.
 func (s *Store) Write(addr msg.Addr, p msg.Payload) {
 	s.lines[addr] = p

@@ -12,7 +12,9 @@
 //
 // Storage is a bounded ring buffer (the last N events) plus an optional
 // streaming sink that observes every event regardless of the ring capacity.
-// A capacity of zero keeps metrics only. The schema — every event kind and
+// A capacity of zero keeps metrics only. The ring grows with the events a
+// run emits, up to its capacity, so a large capacity costs memory only when
+// that many events happen. The schema — every event kind and
 // its fields — is documented in docs/OBSERVABILITY.md, and exporters for
 // JSONL and the Chrome trace-event format (Perfetto-loadable) live in this
 // package (see WriteJSONL and WriteChromeTrace).
@@ -28,6 +30,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/msg"
 	"repro/internal/stats"
@@ -279,13 +282,15 @@ func (m *Metrics) KindCounts() map[string]uint64 {
 // are safe on a nil *Recorder (they do nothing), so instrumentation sites
 // never need a guard.
 type Recorder struct {
-	now  func() uint64
-	ring []Event
-	next int
-	full bool
-	seq  uint64
-	sink func(Event)
-	met  Metrics
+	now func() uint64
+	// ring holds the retained events. It grows up to capacity; from then on
+	// next is the slot of the oldest event, the one the next emit replaces.
+	ring     []Event
+	capacity int
+	next     int
+	seq      uint64
+	sink     func(Event)
+	met      Metrics
 
 	// msgFeed turns every network send/delivery into msg.send/msg.recv
 	// events (see EnableMessageFeed).
@@ -301,15 +306,14 @@ type Recorder struct {
 }
 
 // NewRecorder returns a recorder keeping the last capacity events; a
-// capacity of zero records metrics only.
+// capacity of zero records metrics only. The ring is allocated as events
+// arrive, so capacity bounds its memory rather than setting it.
 func NewRecorder(capacity int) *Recorder {
 	r := &Recorder{
-		pending: make(map[msg.Addr][]uint64),
+		capacity: max(capacity, 0),
+		pending:  make(map[msg.Addr][]uint64),
 	}
 	r.met.ByMsgType = make([]uint64, msg.NumTypes()+1)
-	if capacity > 0 {
-		r.ring = make([]Event, capacity)
-	}
 	return r
 }
 
@@ -345,9 +349,7 @@ func (r *Recorder) Events() []Event {
 		return nil
 	}
 	var out []Event
-	if r.full {
-		out = append(out, r.ring[r.next:]...)
-	}
+	out = append(out, r.ring[r.next:]...)
 	out = append(out, r.ring[:r.next]...)
 	return out
 }
@@ -369,12 +371,17 @@ func (r *Recorder) emit(e Event) {
 	if e.Type >= 1 && int(e.Type) < len(r.met.ByMsgType) {
 		r.met.ByMsgType[e.Type]++
 	}
-	if len(r.ring) > 0 {
-		r.ring[r.next] = e
-		r.next = (r.next + 1) % len(r.ring)
-		if r.next == 0 {
-			r.full = true
+	if n := len(r.ring); n < r.capacity {
+		// Double the ring, clamped to capacity, rather than take append's
+		// growth: beyond 256 elements append grows by ~1.25x, which for a
+		// filled ring would allocate several times its final size.
+		if n == cap(r.ring) {
+			r.ring = slices.Grow(r.ring, min(max(n, 64), r.capacity-n))
 		}
+		r.ring = append(r.ring, e)
+	} else if n > 0 {
+		r.ring[r.next] = e
+		r.next = (r.next + 1) % n
 	}
 	if r.sink != nil {
 		r.sink(e)

@@ -221,10 +221,20 @@ type LineView struct {
 }
 
 // Inspectable is implemented by every protocol agent so the checker can
-// walk global state.
+// walk global state, or look at one line of it.
+//
+// InspectLine(addr, fn) must report exactly the views InspectLines reports
+// with Addr == addr, in the same order (an agent reports at most one view
+// per structure — array frame, miss, backup, writeback — so the per-line
+// order is fixed even where InspectLines walks maps). Implementations answer
+// it with point lookups, so its cost does not grow with cache capacity or
+// with the number of lines the agent holds; the mid-run recovery probe
+// (System.CheckLine) runs it on every agent each time a recovery closes.
 type Inspectable interface {
 	// InspectLines calls fn for every line the agent holds state for.
 	InspectLines(fn func(LineView))
+	// InspectLine calls fn for every view InspectLines reports for addr.
+	InspectLine(addr msg.Addr, fn func(LineView))
 	// NodeID returns the agent's network identity.
 	NodeID() msg.NodeID
 }

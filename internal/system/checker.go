@@ -105,20 +105,23 @@ func checkTokens(addr msg.Addr, vs []agentView, expect int) error {
 }
 
 // CheckLine validates one line's views mid-run; transient lines are
-// skipped (their state is in flight by definition).
+// skipped (their state is in flight by definition). It asks each live agent
+// for the line alone (proto.Inspectable.InspectLine), so its cost does not
+// depend on cache capacity or on how many lines the run has touched.
 func (s *System) CheckLine(addr msg.Addr) error {
-	var vs []agentView
+	lv := &s.lineViews
+	if lv.add == nil {
+		lv.add = func(v proto.LineView) { lv.views = append(lv.views, agentView{node: lv.node, v: v}) }
+	}
+	lv.views = lv.views[:0]
 	for _, a := range s.agents {
-		id := a.NodeID()
-		if s.deadNodes[id] {
+		lv.node = a.NodeID()
+		if s.deadNodes[lv.node] {
 			continue
 		}
-		a.InspectLines(func(v proto.LineView) {
-			if v.Addr == addr {
-				vs = append(vs, agentView{node: id, v: v})
-			}
-		})
+		a.InspectLine(addr, lv.add)
 	}
+	vs := lv.views
 	for _, av := range vs {
 		if av.v.Transient {
 			return nil
@@ -130,6 +133,15 @@ func (s *System) CheckLine(addr msg.Addr) error {
 type agentView struct {
 	node msg.NodeID
 	v    proto.LineView
+}
+
+// lineViews is CheckLine's reusable collector: the agent being asked and
+// the views gathered so far, with add bound once so a check allocates
+// nothing per agent. No error retains views.
+type lineViews struct {
+	node  msg.NodeID
+	views []agentView
+	add   func(proto.LineView)
 }
 
 func checkLine(topo proto.Topology, addr msg.Addr, vs []agentView, quiescent bool) error {

@@ -210,6 +210,7 @@ type System struct {
 	// midRunErrs collects post-recovery invariant violations caught by the
 	// recovery probe (capped at maxMidRunErrs).
 	midRunErrs []error
+	lineViews  lineViews
 
 	// Structural-fault state (tile death / link death); see recovery.go.
 	// domains is non-nil only for FtDirCMP runs with an armed TileDeath;

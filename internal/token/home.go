@@ -437,19 +437,31 @@ func (h *Home) send(m *msg.Message) {
 // InspectLines implements proto.Inspectable.
 func (h *Home) InspectLines(fn func(proto.LineView)) {
 	for addr, ln := range h.lines {
-		state := fmt.Sprintf("T%d", ln.tokens)
-		if ln.recreating {
-			state += "+recreating"
-		} else if ln.active != 0 || len(ln.queue) > 0 {
-			state += "+txn"
-		}
-		fn(proto.LineView{
-			Addr:      addr,
-			Owner:     ln.owner,
-			Transient: ln.active != 0 || len(ln.queue) > 0 || ln.recreating,
-			Payload:   ln.data,
-			Tokens:    ln.tokens,
-			State:     state,
-		})
+		fn(lineView(addr, ln))
+	}
+}
+
+// InspectLine implements proto.Inspectable with a point lookup.
+func (h *Home) InspectLine(addr msg.Addr, fn func(proto.LineView)) {
+	if ln := h.lines[addr]; ln != nil {
+		fn(lineView(addr, ln))
+	}
+}
+
+// lineView is the view of the home's token and data state for one line.
+func lineView(addr msg.Addr, ln *homeLine) proto.LineView {
+	state := fmt.Sprintf("T%d", ln.tokens)
+	if ln.recreating {
+		state += "+recreating"
+	} else if ln.active != 0 || len(ln.queue) > 0 {
+		state += "+txn"
+	}
+	return proto.LineView{
+		Addr:      addr,
+		Owner:     ln.owner,
+		Transient: ln.active != 0 || len(ln.queue) > 0 || ln.recreating,
+		Payload:   ln.data,
+		Tokens:    ln.tokens,
+		State:     state,
 	}
 }

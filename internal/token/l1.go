@@ -709,32 +709,51 @@ func (l *L1) send(m *msg.Message) {
 
 // InspectLines implements proto.Inspectable.
 func (l *L1) InspectLines(fn func(proto.LineView)) {
-	l.array.ForEach(func(c *cache.Line) {
-		perm := proto.PermNone
-		if c.State >= 1 && hasData(c) {
-			perm = proto.PermRead
-		}
-		if c.State == l.totalTokens && hasData(c) {
-			perm = proto.PermWrite
-		}
-		state := fmt.Sprintf("T%d", c.State)
-		if l.mshr.Get(c.Addr) != nil {
-			state += "+miss"
-		} else if l.blocked[c.Addr] != nil {
-			state += "+blocked"
-		}
-		fn(proto.LineView{
-			Addr:      c.Addr,
-			Perm:      perm,
-			Owner:     hasOwner(c),
-			Transient: l.mshr.Get(c.Addr) != nil || l.blocked[c.Addr] != nil,
-			Payload:   c.Payload,
-			Tokens:    c.State,
-			State:     state,
-		})
-	})
-	l.backups.ForEach(func(addr msg.Addr, b *backupEntry) {
-		fn(proto.LineView{Addr: addr, Backup: true, Transient: true, Payload: b.payload,
-			State: "backup", SN: b.sn})
-	})
+	l.array.ForEach(func(c *cache.Line) { fn(l.frameView(c)) })
+	l.backups.ForEach(func(addr msg.Addr, b *backupEntry) { fn(backupView(addr, b)) })
+}
+
+// InspectLine implements proto.Inspectable with point lookups, in
+// InspectLines' order: the frame, then the backup.
+func (l *L1) InspectLine(addr msg.Addr, fn func(proto.LineView)) {
+	if c := l.array.Lookup(addr); c != nil {
+		fn(l.frameView(c))
+	}
+	if b := l.backups.Get(addr); b != nil {
+		fn(backupView(addr, b))
+	}
+}
+
+// frameView is the view of a resident line: its tokens, data and any
+// in-flight request.
+func (l *L1) frameView(c *cache.Line) proto.LineView {
+	perm := proto.PermNone
+	if c.State >= 1 && hasData(c) {
+		perm = proto.PermRead
+	}
+	if c.State == l.totalTokens && hasData(c) {
+		perm = proto.PermWrite
+	}
+	missing, blocked := l.mshr.Get(c.Addr) != nil, l.blocked[c.Addr] != nil
+	state := fmt.Sprintf("T%d", c.State)
+	if missing {
+		state += "+miss"
+	} else if blocked {
+		state += "+blocked"
+	}
+	return proto.LineView{
+		Addr:      c.Addr,
+		Perm:      perm,
+		Owner:     hasOwner(c),
+		Transient: missing || blocked,
+		Payload:   c.Payload,
+		Tokens:    c.State,
+		State:     state,
+	}
+}
+
+// backupView is the view of a backup copy kept for an ownership transfer.
+func backupView(addr msg.Addr, b *backupEntry) proto.LineView {
+	return proto.LineView{Addr: addr, Backup: true, Transient: true, Payload: b.payload,
+		State: "backup", SN: b.sn}
 }

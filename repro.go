@@ -182,6 +182,8 @@ type Config struct {
 
 	// EventBufferSize bounds the retained event log when RecordEvents is
 	// set: the log keeps the most recent events (0 = default of 65536).
+	// It is a bound, not an allocation: the log grows with the events
+	// the run emits.
 	EventBufferSize int
 
 	// RecordSpans reconstructs causal transaction spans: the run's event

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -59,6 +60,44 @@ func TestSerialNumberBitsZero(t *testing.T) {
 	cfg.Protocol = DirCMP
 	if _, err := Run(cfg, "uniform"); err != nil {
 		t.Fatalf("DirCMP with 0 serial bits: %v", err)
+	}
+}
+
+// TestEventBufferHugeCapacity pins that EventBufferSize bounds the event
+// ring instead of sizing it: a 1<<30-event ring preallocated would need
+// 136 GiB and kill the process, while a quick run emits a few thousand
+// events. The run must retain every event it emitted, and its heap growth
+// stays far below what even a 1<<20-event ring would take.
+func TestEventBufferHugeCapacity(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.OpsPerCore = 100
+	cfg.RecordEvents = true
+	cfg.EventBufferSize = 1 << 30
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg, "uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+
+	const maxGrowth = 64 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxGrowth {
+		t.Errorf("run allocated %d bytes with a 1<<30 event buffer, want <= %d", grew, maxGrowth)
+	}
+	var emitted uint64
+	for _, n := range res.EventsByKind {
+		emitted += n
+	}
+	evs := res.Events()
+	if len(evs) == 0 || uint64(len(evs)) != emitted {
+		t.Fatalf("retained %d events, emitted %d: the ring must keep them all", len(evs), emitted)
+	}
+	for i, e := range evs {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("event %d has seq %d: retained events out of order", i, e.Seq)
+		}
 	}
 }
 
